@@ -3,41 +3,37 @@
 Phase 2 of the pipeline: per-link key pools are combined, through the
 satellites acting as relays, into pairwise keys between ground stations.
 One pairwise bit between stations a and b through satellite s consumes one
-pooled bit of (s, a) and one of (s, b). The fair allocator maximises the
-worst pair, then re-solves on the residual pools so slack capacity is not
-wasted. The same machinery solves the joint schedule-and-allocate programs
-used as exact reference baselines at desk scale, and can export them in LP
-format for external solvers instead.
+pooled bit of (s, a) and one of (s, b). Each fair round maximises the
+worst pair, then, holding that floor, maximises the round's total so slack
+capacity is not wasted; the next round re-solves on the residual pools.
+The same machinery solves the joint schedule-and-allocate programs used as
+exact reference baselines at desk scale, and can export them in LP format
+for external solvers instead.
 
-All integer programs run through one small best-bound branch-and-bound over
-LP relaxations (HiGHS via scipy.optimize.linprog). The objectives here are
-integral at integer points, so node bounds are floored, which closes many
-instances early. The solver is deliberately plain: no cutting planes, no
-warm starts, no external MIP engines; exactness is only promised at desk
-scale, with LP export as the road to industrial solvers beyond that.
+All integer programs run through HiGHS's branch-and-cut
+(scipy.optimize.milp) with a zero relative gap, so "optimal" means proved
+optimal to HiGHS's absolute tolerance however large the key pools grow.
+Exactness is only promised at desk scale; LP export is the road to other
+solvers beyond that.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+# linprog is unused, but the stage benchmark wraps qkdsched.alloc.linprog by name
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .channel import EstimateTable
 from .sched import Schedule, accumulate_pools
-
-_INT_TOL = 1e-6
-_PRUNE_TOL = 1e-9
 
 
 @dataclass
 class MilpInstance:
     """Mixed-integer program: maximize c.x subject to A x <= b and bounds.
 
-    ``node_limit`` is the default search budget (None means run to proof);
     ``export_path`` records where the instance was written, when it was.
     """
 
@@ -50,8 +46,6 @@ class MilpInstance:
     integer: np.ndarray
     var_names: list
     row_names: list
-    objective_integral: bool = True
-    node_limit: int = None
     export_path: str = None
 
     @property
@@ -73,107 +67,39 @@ class MilpResult:
 
 
 def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResult:
-    """Best-bound branch-and-bound over the LP relaxation.
+    """Solve the instance with HiGHS's branch-and-cut via scipy.optimize.milp.
 
-    Deterministic: nodes pop by (bound, insertion order), branching picks
-    the most fractional integer variable (lowest index on ties). A node
-    budget turns the result into an incumbent report with a nonzero gap
-    instead of an error; with no incumbent found yet, the report carries
-    the bound alone.
+    ``max_nodes`` caps the search (None runs to proof; zero or less returns
+    at once without solving). A spent budget yields ``budget_exceeded`` with
+    the incumbent, if any, and the absolute gap bound - objective; with no
+    incumbent the gap is infinite. Integer variables come back rounded.
     """
-    if max_nodes is None:
-        max_nodes = instance.node_limit
-    c_min = -instance.objective
-    has_rows = instance.a_ub.shape[0] > 0
-    a = instance.a_ub if has_rows else None
-    b = instance.b_ub if has_rows else None
-    int_idx = np.flatnonzero(instance.integer)
-    best_val, best_x = -np.inf, None
-    # branching prefers fractional variables with heavy constraint impact;
-    # static weights keep the choice deterministic
-    impact = np.abs(instance.objective).astype(float)
-    if has_rows:
-        impact = impact + np.asarray(
-            np.abs(instance.a_ub).max(axis=0).todense()).ravel()
-    impact = np.maximum(impact[int_idx], 1e-12)
-
-    def lp(lo, hi):
-        res = linprog(c_min, A_ub=a, b_ub=b, bounds=np.column_stack([lo, hi]),
-                      method="highs")
-        if res.status == 2:
-            return None, None
-        if res.status != 0:
-            raise RuntimeError(f"LP relaxation failed: {res.message}")
-        return -res.fun, res.x
-
-    counter = 0
-    heap = []  # (-bound, counter, lo, hi)
-    root_bound = np.inf
-    heapq.heappush(heap, (-np.inf, counter, instance.lower.copy(),
-                          instance.upper.copy()))
-    nodes = 0
-    budget_hit = False
-    while heap:
-        neg_bound, _, lo, hi = heapq.heappop(heap)
-        parent_bound = -neg_bound
-        if _floored(parent_bound, instance) <= best_val + _PRUNE_TOL:
-            continue
-        if max_nodes is not None and nodes >= max_nodes:
-            budget_hit = True
-            root_bound = parent_bound
-            break
-        nodes += 1
-        value, x = lp(lo, hi)
-        if value is None:
-            continue
-        if nodes == 1:
-            root_bound = value
-        bound = _floored(value, instance)
-        if bound <= best_val + _PRUNE_TOL:
-            continue
-        frac = np.abs(x[int_idx] - np.round(x[int_idx]))
-        if len(frac) == 0 or frac.max() <= _INT_TOL:
-            x = x.copy()
-            x[int_idx] = np.round(x[int_idx])
-            if value > best_val:
-                best_val, best_x = value, x
-            continue
-        worst = int(np.argmax(np.where(frac > _INT_TOL, frac * impact, -1.0)))
-        j = int(int_idx[worst])
-        split = np.floor(x[j])
-        down = (lo, _with(hi, j, split))
-        up = (_with(lo, j, split + 1.0), hi)
-        # explore the side the relaxation leans toward first
-        children = (up, down) if x[j] - split > 0.5 else (down, up)
-        for new_lo, new_hi in children:
-            counter += 1
-            heapq.heappush(heap, (-value, counter, new_lo, new_hi))
-
-    if best_x is None:
-        if budget_hit:
-            return MilpResult(status="budget_exceeded", bound=root_bound,
-                              gap=np.inf, nodes=nodes)
+    if max_nodes is not None and max_nodes <= 0:
+        return MilpResult(status="budget_exceeded", bound=np.inf, gap=np.inf)
+    options = {"mip_rel_gap": 0.0}
+    if max_nodes is not None:
+        options["node_limit"] = int(max_nodes)
+    constraints = ([LinearConstraint(instance.a_ub, -np.inf, instance.b_ub)]
+                   if instance.a_ub.shape[0] else [])
+    res = milp(-instance.objective, integrality=instance.integer.astype(int),
+               bounds=Bounds(instance.lower, instance.upper),
+               constraints=constraints, options=options)
+    nodes = int(res.mip_node_count or 0)
+    if res.status == 2:
         return MilpResult(status="infeasible", nodes=nodes)
-
-    if budget_hit:
-        open_bound = max([root_bound] + [-e[0] for e in heap])
-        return MilpResult(status="budget_exceeded", objective=best_val,
-                          bound=open_bound, gap=open_bound - best_val,
-                          values=best_x, nodes=nodes)
-    return MilpResult(status="optimal", objective=best_val, bound=best_val,
-                      gap=0.0, values=best_x, nodes=nodes)
-
-
-def _with(arr: np.ndarray, j: int, value: float) -> np.ndarray:
-    out = arr.copy()
-    out[j] = value
-    return out
-
-
-def _floored(bound: float, instance: MilpInstance) -> float:
-    if instance.objective_integral and np.isfinite(bound):
-        return np.floor(bound + _INT_TOL)
-    return bound
+    if res.status not in (0, 1):
+        raise RuntimeError(f"MILP solve failed: {res.message}")
+    bound = -res.mip_dual_bound if res.mip_dual_bound is not None else np.inf
+    if res.x is None:
+        return MilpResult(status="budget_exceeded", bound=bound, gap=np.inf,
+                          nodes=nodes)
+    values = np.where(instance.integer, np.round(res.x), res.x)
+    objective = -res.fun
+    if res.status == 0:
+        return MilpResult(status="optimal", objective=objective, bound=objective,
+                          gap=0.0, values=values, nodes=nodes)
+    return MilpResult(status="budget_exceeded", objective=objective, bound=bound,
+                      gap=bound - objective, values=values, nodes=nodes)
 
 
 # ------------------------------------------------------------------ phase 2
@@ -214,13 +140,15 @@ def _pool_array(pools, n_sats: int, n_stations: int) -> np.ndarray:
     return np.asarray(pools, dtype=np.int64)
 
 
-def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None,
-                        max_nodes: int = None):
+def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None):
     """Exact max-min pairwise allocation for one round.
 
     Returns (floor value, allocation dict). The program is the integer
     maximization of z subject to z <= sum_s y[s, u] for every pair u and the
-    per-link pool capacities, solved to proof by branch-and-bound.
+    per-link pool capacities, solved to proof. Among the allocations that
+    reach the floor z*, the round keeps one with the largest total: a second
+    solve of the same program with z >= z* maximises sum y. A zero floor
+    allocates nothing.
     """
     if n_sats is None or n_stations is None:
         if not isinstance(pools, np.ndarray):
@@ -277,10 +205,18 @@ def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None
         b_ub=np.array(b_ub), lower=lower, upper=upper, integer=integer,
         var_names=var_names, row_names=row_names,
     )
-    result = branch_and_bound(instance, max_nodes=max_nodes)
+    result = branch_and_bound(instance)
     if result.status != "optimal":
         raise RuntimeError(f"pairwise max-min did not close: {result.status}")
     floor_value = int(round(result.objective))
+    if floor_value == 0:
+        return 0, {}
+    result = branch_and_bound(replace(
+        instance, name="phase2_maxsum_at_floor",
+        objective=np.append(np.ones(n_y), 0.0),
+        lower=np.append(np.zeros(n_y), float(floor_value))))
+    if result.status != "optimal":
+        raise RuntimeError(f"pairwise tie-break did not close: {result.status}")
     alloc = {}
     for vi, key in enumerate(variables):
         v = int(round(result.values[vi]))
@@ -289,13 +225,14 @@ def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None
     return floor_value, alloc
 
 
-def iterate_phase2(pools, pairs, n_sats: int = None, n_stations: int = None,
-                   max_nodes: int = None) -> PairAllocation:
+def iterate_phase2(pools, pairs, n_sats: int = None,
+                   n_stations: int = None) -> PairAllocation:
     """Fair allocation with residual re-solves.
 
     Each round maximises the minimum incremental allocation over the pairs
     that can still receive bits (positive joint residual capacity through
-    some satellite). Allocated bits are deducted, exhausted pairs freeze,
+    some satellite), then its total at that floor (``solve_phase2_maxmin``
+    gives the tie rule). Allocated bits are deducted, exhausted pairs freeze,
     and the loop ends when no active pair remains or a round makes no
     progress. Per-pair totals never decrease across rounds.
     """
@@ -313,8 +250,7 @@ def iterate_phase2(pools, pairs, n_sats: int = None, n_stations: int = None,
                          for s in range(n_sats))]
         if not active:
             break
-        floor_value, alloc = solve_phase2_maxmin(resid, active, n_sats,
-                                                 n_stations, max_nodes)
+        floor_value, alloc = solve_phase2_maxmin(resid, active, n_sats, n_stations)
         if floor_value == 0:
             break
         for (s, a, b), v in alloc.items():
@@ -449,8 +385,8 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
 
     With ``export_path`` set the instance is written in LP format and, when
     ``max_nodes`` is zero, returned unsolved for external solving.
-    Otherwise branch-and-bound runs under the node budget; exhausting it
-    yields the incumbent (possibly empty) plus the optimality gap.
+    Otherwise HiGHS (see ``branch_and_bound``) runs under the node budget;
+    exhausting it yields the incumbent (possibly empty) plus the gap.
     """
     if pairs is None:
         pairs = station_pairs(estimates.n_stations)

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--tol", type=float, default=1e-4,
                        help="multiplier convergence tolerance")
     run_p.add_argument("--solver-nodes", type=int, default=20000,
-                       help="branch-and-bound node budget for baselines")
+                       help="MILP search node budget (HiGHS) for baselines")
     run_p.add_argument("--export-lp", action="store_true",
                        help="also write baseline models as LP files")
     run_p.add_argument("--dump-estimates", action="store_true",

@@ -111,13 +111,9 @@ def choice_histograms(table) -> dict:
     return out
 
 
-def write_report_json(path, report: RunReport, station_ids=None,
-                      extra: dict = None) -> None:
-    payload = report.to_dict(station_ids)
-    if extra:
-        payload.update(extra)
+def write_report_json(path, report: RunReport, station_ids=None) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(station_ids), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -190,10 +190,6 @@ class Scenario:
     def n_stations(self) -> int:
         return len(self.stations)
 
-    def station_index(self) -> dict:
-        """station_id -> positional index (stable ordering)."""
-        return {g.station_id: i for i, g in enumerate(self.stations)}
-
 
 def build_polar_constellation(rings: int, sats_per_ring: int,
                               altitude_km: float) -> tuple:

@@ -111,11 +111,12 @@ def test_maxmin_empty_pairs():
     assert solve_phase2_maxmin(np.array([[5]]), []) == (0, {})
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 9, 10_000_001])
 def test_maxmin_symmetric_triple_halves_each_pool(c):
     # with one satellite and equal pools over three stations, each pool C
     # splits across the station's two incident pairs, so the fair floor is
-    # floor(C/2) regardless of parity
+    # floor(C/2) regardless of parity; the ten-million pool asks for the exact
+    # floor where a relative gap of 1e-4 would excuse being 500 bits short
     pools = np.array([[c, c, c]])
     pairs = _pair_list(3)
     floor_value, alloc = solve_phase2_maxmin(pools, pairs)
@@ -148,12 +149,15 @@ def test_iterate_surplus_beyond_fair_floor():
 
 
 def test_iterate_stops_at_zero_progress():
-    # after the fair rounds drain the triangle to unit residuals, no round
-    # can lift every pair, and the loop ends instead of spinning
+    # the round lifts every pair to 2 and, at that floor, spends the slack
+    # on one pair (2+2+3 = 7 of the 7.5 bits the pools allow); what is left
+    # cannot lift any pair, and the loop ends instead of spinning
     pools = np.array([[5, 5, 5]])
-    out = iterate_phase2(pools, _pair_list(3))
-    assert out.rounds[0] == {"floor": 2, "active_pairs": 3}
-    assert all(v == 2 for v in out.totals.values())
+    pairs = _pair_list(3)
+    out = iterate_phase2(pools, pairs)
+    assert out.rounds == [{"floor": 2, "active_pairs": 3}]
+    assert tuple(sorted(out.totals.values())) == (2, 2, 3)
+    assert tuple(sorted(out.totals.values())) == _lex_maxmin_oracle(pools, pairs)
 
 
 def test_iterate_totals_cover_first_floor(rng):
@@ -516,7 +520,7 @@ def test_lp_export_without_constraints_is_still_valid(tmp_path):
 
 def test_small_knapsack_sanity():
     # maximize x0 + x1 + x2 with 3 x0 + 3 x1 + 3 x2 <= 7: LP says 7/3,
-    # integers say 2; exercises bound flooring and branching directly
+    # integers say 2; exercises the solver's integrality handling directly
     from scipy import sparse
     instance = MilpInstance(
         name="knap", objective=np.ones(3),
@@ -530,6 +534,6 @@ def test_small_knapsack_sanity():
     assert result.objective == pytest.approx(2.0)
     assert result.gap == 0.0
     assert np.sum(result.values) == pytest.approx(2.0)
-    # the LP optimum 7/3 floors to 2, so bound flooring closes the tree
-    # after a handful of nodes rather than the full 6**3 box
+    # the LP optimum 7/3 rounds down to 2, so the search closes after a
+    # handful of nodes rather than the full 6**3 box
     assert result.nodes <= 25

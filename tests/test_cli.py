@@ -240,6 +240,23 @@ def test_run_solves_baselines_on_small_table(tmp_path):
     assert maxsum["total_key"] >= greedy["total_key"]
 
 
+def test_toy_maxmin_closes_within_default_budget(tmp_path):
+    # the README's desk-scale toy run: the exact max-min baseline must prove
+    # optimality under the default --solver-nodes, not report an exhausted
+    # budget with an empty schedule
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(scenarios / "toy_equator.ini"),
+               "--clouds", str(scenarios / "clouds_sample.csv"),
+               "--schedulers", "maxmin", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "maxmin" / "report.json").read_text())
+    assert report["metadata"]["milp_status"] == "optimal"
+    assert report["metadata"]["milp_gap"] == 0.0
+    assert report["served"] > 0
+    assert report["min_key"] > 0
+
+
 def test_module_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "qkdsched.cli", "--help"],
                           capture_output=True, text=True)
