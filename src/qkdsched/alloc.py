@@ -8,7 +8,8 @@ worst pair, then, holding that floor, maximises the round's total so slack
 capacity is not wasted; the next round re-solves on the residual pools.
 The same machinery solves the joint schedule-and-allocate programs used as
 exact reference baselines at desk scale, and can export them in LP format
-for external solvers instead.
+for external solvers instead. Both programs take their pairwise variables
+from one enumeration (``_pair_vars``) and are assembled from index arrays.
 
 All integer programs run through HiGHS's branch-and-cut
 (scipy.optimize.milp) with a zero relative gap, so "optimal" means proved
@@ -61,9 +62,6 @@ class MilpResult:
     gap: float = None
     values: np.ndarray = None
     nodes: int = 0
-
-    def value_of(self, instance: MilpInstance, name: str) -> float:
-        return float(self.values[instance.var_names.index(name)])
 
 
 def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResult:
@@ -132,12 +130,31 @@ class PairAllocation:
 
 
 def _pool_array(pools, n_sats: int, n_stations: int) -> np.ndarray:
-    if isinstance(pools, dict):
-        arr = np.zeros((n_sats, n_stations), dtype=np.int64)
-        for (s, g), v in pools.items():
-            arr[s, g] = int(v)
-        return arr
-    return np.asarray(pools, dtype=np.int64)
+    """(S, G) integer pools from an array, or from a {(s, g): bits} dict."""
+    if not isinstance(pools, dict):
+        return np.asarray(pools, dtype=np.int64)
+    if n_sats is None or n_stations is None:
+        raise ValueError("pass n_sats/n_stations or an array pool")
+    arr = np.zeros((n_sats, n_stations), dtype=np.int64)
+    for (s, g), v in pools.items():
+        arr[s, g] = int(v)
+    return arr
+
+
+def _pair_vars(cap: np.ndarray, pairs: list) -> tuple:
+    """Enumerate the pairwise variables y[s, a, b] of positive joint capacity.
+
+    ``cap`` is an (S, G) per-link capacity array. Variables run pair-major,
+    then by satellite. Returns one array entry per variable: its position
+    in ``pairs``, its satellite, its links (s, a) and (s, b) as ``s * G + g``,
+    and its joint capacity min(cap[s, a], cap[s, b]).
+    """
+    n_stations = cap.shape[1]
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    joint = np.minimum(cap[:, ends[:, 0]], cap[:, ends[:, 1]]).T   # (P, S)
+    pair, sat = np.nonzero(joint > 0)
+    return (pair, sat, sat * n_stations + ends[pair, 0],
+            sat * n_stations + ends[pair, 1], joint[pair, sat])
 
 
 def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None):
@@ -145,65 +162,41 @@ def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None
 
     Returns (floor value, allocation dict). The program is the integer
     maximization of z subject to z <= sum_s y[s, u] for every pair u and the
-    per-link pool capacities, solved to proof. Among the allocations that
-    reach the floor z*, the round keeps one with the largest total: a second
-    solve of the same program with z >= z* maximises sum y. A zero floor
-    allocates nothing.
+    per-link pool capacities, solved to proof. Its rows are one floor row
+    per pair, then one pool row per link some variable draws on, satellite-
+    major. Among the allocations that reach the floor z*, the round keeps
+    one with the largest total: a second solve of the same program with
+    z >= z* maximises sum y. A zero floor allocates nothing.
     """
-    if n_sats is None or n_stations is None:
-        if not isinstance(pools, np.ndarray):
-            raise ValueError("pass n_sats/n_stations or an array pool")
-        n_sats, n_stations = pools.shape
     k = _pool_array(pools, n_sats, n_stations)
     pairs = list(pairs)
     if not pairs:
         return 0, {}
-
-    variables = []  # (s, a, b)
-    for (a, b) in pairs:
-        for s in range(n_sats):
-            if min(k[s, a], k[s, b]) > 0:
-                variables.append((s, a, b))
-    pair_cap = {u: sum(int(min(k[s, u[0]], k[s, u[1]])) for s in range(n_sats))
-                for u in pairs}
-    if min(pair_cap.values()) == 0:
+    pair, sat, link_a, link_b, cap = _pair_vars(k, pairs)
+    pair_cap = np.bincount(pair, weights=cap, minlength=len(pairs))
+    if pair_cap.min() == 0:
         return 0, {}
 
-    n_y = len(variables)
-    var_names = [f"y_s{s}_g{a}_g{b}" for (s, a, b) in variables] + ["z"]
-    objective = np.zeros(n_y + 1)
-    objective[-1] = 1.0
-    lower = np.zeros(n_y + 1)
-    upper = np.array([float(min(k[s, a], k[s, b])) for (s, a, b) in variables]
-                     + [float(min(pair_cap.values()))])
-    integer = np.array([True] * n_y + [False])
-
-    rows, cols, data, b_ub, row_names = [], [], [], [], []
-    for ui, u in enumerate(pairs):
-        row = len(b_ub)
-        rows.append(row); cols.append(n_y); data.append(1.0)
-        for vi, (s, a, b) in enumerate(variables):
-            if (a, b) == u:
-                rows.append(row); cols.append(vi); data.append(-1.0)
-        b_ub.append(0.0)
-        row_names.append(f"floor_g{u[0]}_g{u[1]}")
-    for s in range(n_sats):
-        for g in range(n_stations):
-            touching = [vi for vi, (vs, a, b) in enumerate(variables)
-                        if vs == s and g in (a, b)]
-            if not touching:
-                continue
-            row = len(b_ub)
-            for vi in touching:
-                rows.append(row); cols.append(vi); data.append(1.0)
-            b_ub.append(float(k[s, g]))
-            row_names.append(f"pool_s{s}_g{g}")
-
+    n_y, n_pairs = len(pair), len(pairs)
+    links, pool_row = np.unique(np.concatenate([link_a, link_b]),
+                                return_inverse=True)
+    y = np.arange(n_y)
+    rows = np.concatenate([np.arange(n_pairs), pair, n_pairs + pool_row])
+    cols = np.concatenate([np.full(n_pairs, n_y), y, y, y])
+    data = np.concatenate([np.ones(n_pairs), -np.ones(n_y), np.ones(2 * n_y)])
+    pool_s, pool_g = np.divmod(links, k.shape[1])
     instance = MilpInstance(
-        name="phase2_maxmin", objective=objective,
-        a_ub=sparse.csr_matrix((data, (rows, cols)), shape=(len(b_ub), n_y + 1)),
-        b_ub=np.array(b_ub), lower=lower, upper=upper, integer=integer,
-        var_names=var_names, row_names=row_names,
+        name="phase2_maxmin", objective=np.append(np.zeros(n_y), 1.0),
+        a_ub=sparse.csr_matrix((data, (rows, cols)),
+                               shape=(n_pairs + len(links), n_y + 1)),
+        b_ub=np.concatenate([np.zeros(n_pairs), k.ravel()[links].astype(float)]),
+        lower=np.zeros(n_y + 1),
+        upper=np.append(cap.astype(float), pair_cap.min()),
+        integer=np.append(np.ones(n_y, dtype=bool), False),
+        var_names=[f"y_s{s}_g{pairs[u][0]}_g{pairs[u][1]}"
+                   for u, s in zip(pair.tolist(), sat.tolist())] + ["z"],
+        row_names=[f"floor_g{a}_g{b}" for (a, b) in pairs]
+        + [f"pool_s{s}_g{g}" for s, g in zip(pool_s.tolist(), pool_g.tolist())],
     )
     result = branch_and_bound(instance)
     if result.status != "optimal":
@@ -217,12 +210,9 @@ def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None
         lower=np.append(np.zeros(n_y), float(floor_value))))
     if result.status != "optimal":
         raise RuntimeError(f"pairwise tie-break did not close: {result.status}")
-    alloc = {}
-    for vi, key in enumerate(variables):
-        v = int(round(result.values[vi]))
-        if v > 0:
-            alloc[key] = v
-    return floor_value, alloc
+    bits = np.round(result.values[:n_y]).astype(np.int64).tolist()
+    return floor_value, {(s, *pairs[u]): v for u, s, v
+                         in zip(pair.tolist(), sat.tolist(), bits) if v > 0}
 
 
 def iterate_phase2(pools, pairs, n_sats: int = None,
@@ -236,21 +226,17 @@ def iterate_phase2(pools, pairs, n_sats: int = None,
     and the loop ends when no active pair remains or a round makes no
     progress. Per-pair totals never decrease across rounds.
     """
-    if n_sats is None or n_stations is None:
-        if not isinstance(pools, np.ndarray):
-            raise ValueError("pass n_sats/n_stations or an array pool")
-        n_sats, n_stations = np.asarray(pools).shape
     resid = _pool_array(pools, n_sats, n_stations).copy()
     pairs = list(pairs)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     out = PairAllocation(pairs=pairs, totals={u: 0 for u in pairs})
 
     while True:
-        active = [u for u in pairs
-                  if any(min(resid[s, u[0]], resid[s, u[1]]) > 0
-                         for s in range(n_sats))]
+        live = (np.minimum(resid[:, ends[:, 0]], resid[:, ends[:, 1]]) > 0).any(axis=0)
+        active = [u for u, ok in zip(pairs, live.tolist()) if ok]
         if not active:
             break
-        floor_value, alloc = solve_phase2_maxmin(resid, active, n_sats, n_stations)
+        floor_value, alloc = solve_phase2_maxmin(resid, active)
         if floor_value == 0:
             break
         for (s, a, b), v in alloc.items():
@@ -273,6 +259,14 @@ class BaselineResult:
     instance: MilpInstance = None
 
 
+def _link_capacity(estimates: EstimateTable) -> np.ndarray:
+    """(S, G) array of the key bits each link offers over the whole table."""
+    n_links = estimates.n_sats * estimates.n_stations
+    link = estimates.sat * estimates.n_stations + estimates.station
+    return np.bincount(link, weights=estimates.key_bits, minlength=n_links) \
+        .reshape(estimates.n_sats, estimates.n_stations)
+
+
 def build_baseline_instance(estimates: EstimateTable, objective: str = "maxmin",
                             pairs: list = None) -> MilpInstance:
     """Joint schedule-and-allocate integer program over the estimate table.
@@ -280,101 +274,77 @@ def build_baseline_instance(estimates: EstimateTable, objective: str = "maxmin",
     Binary x picks which visible link each satellite serves per slot under
     the transmitter/receiver counts; integer y converts the resulting pools
     into pairwise bits. ``objective`` is "maxmin" (auxiliary floor variable)
-    or "maxsum" (total pairwise bits).
+    or "maxsum" (total pairwise bits). Variables are x in estimate-row
+    order, then y as ``_pair_vars`` lists them, then z. Rows are the
+    transmitter rows by (slot, sat), the receiver rows by (slot, station),
+    the pool rows by (sat, station), then, for "maxmin", one floor row per
+    pair.
     """
     if objective not in ("maxmin", "maxsum"):
         raise ValueError("objective must be 'maxmin' or 'maxsum'")
     if pairs is None:
         pairs = station_pairs(estimates.n_stations)
     pairs = list(pairs)
-    n_rows = len(estimates)
+    n_rows, n_sats, n_stations = len(estimates), estimates.n_sats, estimates.n_stations
+    slot, sat, station = estimates.slot, estimates.sat, estimates.station
+    sat_of, g_of = estimates.sat_ids, estimates.station_ids
 
-    sat_of = estimates.sat_ids
-    g_of = estimates.station_ids
-    x_names = [f"x_t{int(estimates.slot[i])}_s{int(sat_of[estimates.sat[i]])}"
-               f"_g{int(g_of[estimates.station[i]])}" for i in range(n_rows)]
-
-    link_cap: dict = {}
-    for i in range(n_rows):
-        key = (int(estimates.sat[i]), int(estimates.station[i]))
-        link_cap[key] = link_cap.get(key, 0.0) + float(estimates.key_bits[i])
-
-    y_vars = []
-    for (a, b) in pairs:
-        for s in range(estimates.n_sats):
-            cap = min(link_cap.get((s, a), 0.0), link_cap.get((s, b), 0.0))
-            if cap > 0:
-                y_vars.append((s, a, b, cap))
-    y_names = [f"y_s{int(sat_of[s])}_g{int(g_of[a])}_g{int(g_of[b])}"
-               for (s, a, b, _) in y_vars]
-
+    pair, y_sat, link_a, link_b, cap = _pair_vars(_link_capacity(estimates), pairs)
+    n_y = len(pair)
     with_floor = objective == "maxmin"
-    n_vars = n_rows + len(y_vars) + (1 if with_floor else 0)
-    names = x_names + y_names + (["z"] if with_floor else [])
-    obj = np.zeros(n_vars)
-    if with_floor:
-        obj[-1] = 1.0
-    else:
-        obj[n_rows:n_rows + len(y_vars)] = 1.0
+    n_vars = n_rows + n_y + with_floor
+    x, y = np.arange(n_rows), n_rows + np.arange(n_y)
 
-    lower = np.zeros(n_vars)
+    obj = np.zeros(n_vars)
+    obj[-1 if with_floor else y] = 1.0
     upper = np.ones(n_vars)
-    for vi, (s, a, b, cap) in enumerate(y_vars):
-        upper[n_rows + vi] = np.floor(cap)
-    if with_floor:
-        pair_cap = {}
-        for (a, b) in pairs:
-            pair_cap[(a, b)] = sum(np.floor(c) for (s, pa, pb, c) in y_vars
-                                   if (pa, pb) == (a, b))
-        upper[-1] = min(pair_cap.values()) if pair_cap else 0.0
+    upper[y] = np.floor(cap)
     integer = np.ones(n_vars, dtype=bool)
     if with_floor:
+        pair_cap = np.bincount(pair, weights=upper[y], minlength=len(pairs))
+        upper[-1] = pair_cap.min() if pairs else 0.0
         integer[-1] = False
 
-    rows, cols, data, b_ub, row_names = [], [], [], [], []
-
-    def add_row(name, entries, rhs):
-        row = len(b_ub)
-        for col, coef in entries:
-            rows.append(row); cols.append(col); data.append(float(coef))
-        b_ub.append(float(rhs))
-        row_names.append(name)
-
-    by_ts: dict = {}
-    by_tg: dict = {}
-    for i in range(n_rows):
-        t, s, g = int(estimates.slot[i]), int(estimates.sat[i]), int(estimates.station[i])
-        by_ts.setdefault((t, s), []).append(i)
-        by_tg.setdefault((t, g), []).append(i)
-    for (t, s), idx in sorted(by_ts.items()):
-        add_row(f"tx_t{t}_s{int(sat_of[s])}", [(i, 1.0) for i in idx],
-                int(estimates.transmitters[s]))
-    for (t, g), idx in sorted(by_tg.items()):
-        add_row(f"rx_t{t}_g{int(g_of[g])}", [(i, 1.0) for i in idx],
-                int(estimates.receivers[g]))
-
-    by_link: dict = {}
-    for i in range(n_rows):
-        by_link.setdefault((int(estimates.sat[i]), int(estimates.station[i])),
-                           []).append(i)
-    for (s, g), idx in sorted(by_link.items()):
-        entries = [(i, -float(estimates.key_bits[i])) for i in idx]
-        entries += [(n_rows + vi, 1.0) for vi, (vs, a, b, _) in enumerate(y_vars)
-                    if vs == s and g in (a, b)]
-        add_row(f"pool_s{int(sat_of[s])}_g{int(g_of[g])}", entries, 0.0)
-
+    tx_key, tx_row = np.unique(slot * n_sats + sat, return_inverse=True)
+    rx_key, rx_row = np.unique(slot * n_stations + station, return_inverse=True)
+    pool_key, pool_row = np.unique(sat * n_stations + station, return_inverse=True)
+    pool_at = len(tx_key) + len(rx_key)
+    floor_at = pool_at + len(pool_key)
+    rows = [tx_row, len(tx_key) + rx_row, pool_at + pool_row,
+            pool_at + np.searchsorted(pool_key, link_a),
+            pool_at + np.searchsorted(pool_key, link_b)]
+    cols = [x, x, x, y, y]
+    data = [np.ones(2 * n_rows), -estimates.key_bits, np.ones(2 * n_y)]
+    b_ub = [estimates.transmitters[tx_key % n_sats],
+            estimates.receivers[rx_key % n_stations], np.zeros(len(pool_key))]
+    tx_t, tx_s = np.divmod(tx_key, n_sats)
+    rx_t, rx_g = np.divmod(rx_key, n_stations)
+    pool_s, pool_g = np.divmod(pool_key, n_stations)
+    row_names = (
+        [f"tx_t{t}_s{s}" for t, s in zip(tx_t.tolist(), sat_of[tx_s].tolist())]
+        + [f"rx_t{t}_g{g}" for t, g in zip(rx_t.tolist(), g_of[rx_g].tolist())]
+        + [f"pool_s{s}_g{g}" for s, g in zip(sat_of[pool_s].tolist(),
+                                              g_of[pool_g].tolist())])
     if with_floor:
-        for (a, b) in pairs:
-            entries = [(n_vars - 1, 1.0)]
-            entries += [(n_rows + vi, -1.0) for vi, (vs, pa, pb, _) in enumerate(y_vars)
-                        if (pa, pb) == (a, b)]
-            add_row(f"floor_g{int(g_of[a])}_g{int(g_of[b])}", entries, 0.0)
+        rows += [floor_at + np.arange(len(pairs)), floor_at + pair]
+        cols += [np.full(len(pairs), n_vars - 1), y]
+        data += [np.ones(len(pairs)), -np.ones(n_y)]
+        b_ub.append(np.zeros(len(pairs)))
+        row_names += [f"floor_g{g_of[a]}_g{g_of[b]}" for (a, b) in pairs]
 
+    y_a, y_b = link_a - y_sat * n_stations, link_b - y_sat * n_stations
+    names = ([f"x_t{t}_s{s}_g{g}" for t, s, g in zip(
+                 slot.tolist(), sat_of[sat].tolist(), g_of[station].tolist())]
+             + [f"y_s{s}_g{a}_g{b}" for s, a, b in zip(
+                 sat_of[y_sat].tolist(), g_of[y_a].tolist(), g_of[y_b].tolist())]
+             + (["z"] if with_floor else []))
     return MilpInstance(
         name=f"baseline_{objective}", objective=obj,
-        a_ub=sparse.csr_matrix((data, (rows, cols)), shape=(len(b_ub), n_vars)),
-        b_ub=np.array(b_ub), lower=lower, upper=upper, integer=integer,
-        var_names=names, row_names=row_names,
+        a_ub=sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(row_names), n_vars)),
+        b_ub=np.concatenate(b_ub).astype(float), lower=np.zeros(n_vars),
+        upper=upper, integer=integer, var_names=names, row_names=row_names,
     )
 
 
@@ -386,83 +356,56 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
     With ``export_path`` set the instance is written in LP format and, when
     ``max_nodes`` is zero, returned unsolved for external solving.
     Otherwise HiGHS (see ``branch_and_bound``) runs under the node budget;
-    exhausting it yields the incumbent (possibly empty) plus the gap.
+    exhausting it yields the incumbent (possibly empty) plus the gap. The
+    schedule is the estimate rows whose x is 1, the allocation the y values
+    read back in ``_pair_vars`` order.
     """
     if pairs is None:
         pairs = station_pairs(estimates.n_stations)
     pairs = list(pairs)
     instance = build_baseline_instance(estimates, objective, pairs)
+    chosen = np.zeros(len(estimates), dtype=bool)
     if export_path is not None:
         export_lp(instance, export_path)
         instance.export_path = str(export_path)
         if not max_nodes:
-            return BaselineResult(schedule=_empty_schedule(estimates, objective,
-                                                           {"exported": True}),
-                                  allocation=PairAllocation(pairs=pairs),
-                                  milp=MilpResult(status="exported"),
-                                  instance=instance)
+            return BaselineResult(
+                schedule=_baseline_schedule(estimates, chosen, {
+                    "scheduler": objective, "exported": True}),
+                allocation=PairAllocation(pairs=pairs),
+                milp=MilpResult(status="exported"), instance=instance)
 
     result = branch_and_bound(instance, max_nodes=max_nodes)
     if result.status == "infeasible":
         raise RuntimeError("baseline program infeasible; inputs inconsistent")
-    if result.values is None:      # budget ran out before any integer point
-        meta = {"milp_status": result.status, "milp_gap": None,
-                "milp_nodes": result.nodes}
-        return BaselineResult(schedule=_empty_schedule(estimates, objective, meta),
-                              allocation=PairAllocation(
-                                  pairs=pairs, totals={u: 0 for u in pairs}),
-                              milp=result, instance=instance)
-
-    n_rows = len(estimates)
-    x = result.values
-    entries = [(int(estimates.slot[i]), int(estimates.sat[i]),
-                int(estimates.station[i]))
-               for i in range(n_rows) if x[i] > 0.5]
-    entries.sort()
-    if entries:
-        arr = np.array(entries, dtype=np.int64)
-        slot, sat, station = arr[:, 0], arr[:, 1], arr[:, 2]
-    else:
-        slot = sat = station = np.zeros(0, dtype=np.int64)
-    schedule = Schedule(
-        n_slots=estimates.n_slots, n_sats=estimates.n_sats,
-        n_stations=estimates.n_stations, slot=slot, sat=sat, station=station,
-        key_pool=accumulate_pools(slot, sat, station, estimates),
-        metadata={"scheduler": objective, "milp_status": result.status,
-                  "milp_gap": float(result.gap) if np.isfinite(result.gap) else None,
-                  "milp_nodes": result.nodes},
-    )
     alloc = PairAllocation(pairs=pairs, totals={u: 0 for u in pairs})
-    sat_pos = {int(v): i for i, v in enumerate(estimates.sat_ids)}
-    g_pos = {int(v): i for i, v in enumerate(estimates.station_ids)}
-    offset = n_rows
-    for vi, name in enumerate(instance.var_names[n_rows:], start=0):
-        if not name.startswith("y_"):
-            continue
-        v = int(round(x[offset + vi]))
-        if v <= 0:
-            continue
-        sid, ga, gb = _parse_y_name(name)
-        s, a, b = sat_pos[sid], g_pos[ga], g_pos[gb]
-        alloc.bits[(s, a, b)] = v
-        alloc.totals[(a, b)] = alloc.totals.get((a, b), 0) + v
+    if result.values is not None:  # else the budget ran out before any integer point
+        chosen = result.values[:len(estimates)] > 0.5
+        pair, sat, _, _, _ = _pair_vars(_link_capacity(estimates), pairs)
+        y = result.values[len(estimates):len(estimates) + len(pair)]
+        for u, s, v in zip(pair.tolist(), sat.tolist(),
+                           np.round(y).astype(np.int64).tolist()):
+            if v > 0:
+                alloc.bits[(s, *pairs[u])] = v
+                alloc.totals[pairs[u]] += v
+    schedule = _baseline_schedule(estimates, chosen, {
+        "scheduler": objective, "milp_status": result.status,
+        "milp_gap": float(result.gap) if np.isfinite(result.gap) else None,
+        "milp_nodes": result.nodes})
     return BaselineResult(schedule=schedule, allocation=alloc, milp=result,
                           instance=instance)
 
 
-def _parse_y_name(name: str):
-    parts = name.split("_")   # y, s<id>, g<a>, g<b>
-    return int(parts[1][1:]), int(parts[2][1:]), int(parts[3][1:])
-
-
-def _empty_schedule(estimates: EstimateTable, objective: str,
-                    extra: dict) -> Schedule:
-    empty = np.zeros(0, dtype=np.int64)
-    metadata = {"scheduler": objective}
-    metadata.update(extra)
+def _baseline_schedule(estimates: EstimateTable, chosen: np.ndarray,
+                       metadata: dict) -> Schedule:
+    """Schedule serving the estimate rows picked by the mask ``chosen``."""
+    slot, sat, station = (np.asarray(a[chosen], dtype=np.int64) for a in
+                          (estimates.slot, estimates.sat, estimates.station))
     return Schedule(n_slots=estimates.n_slots, n_sats=estimates.n_sats,
-                    n_stations=estimates.n_stations, slot=empty, sat=empty,
-                    station=empty, key_pool={}, metadata=metadata)
+                    n_stations=estimates.n_stations, slot=slot, sat=sat,
+                    station=station,
+                    key_pool=accumulate_pools(slot, sat, station, estimates),
+                    metadata=metadata)
 
 
 # ------------------------------------------------------------------ LP export
@@ -494,11 +437,10 @@ def export_lp(instance: MilpInstance, path) -> None:
         lo, hi = instance.lower[j], instance.upper[j]
         hi_text = "+inf" if np.isinf(hi) else _fmt(hi)
         lines.append(f" {_fmt(lo)} <= {name} <= {hi_text}")
-    binaries = [instance.var_names[j] for j in range(instance.n_vars)
-                if instance.integer[j] and instance.lower[j] == 0.0
-                and instance.upper[j] == 1.0]
-    generals = [instance.var_names[j] for j in range(instance.n_vars)
-                if instance.integer[j] and instance.var_names[j] not in binaries]
+    binary = instance.integer & (instance.lower == 0.0) & (instance.upper == 1.0)
+    binaries = [n for n, b in zip(instance.var_names, binary) if b]
+    generals = [n for n, i, b in zip(instance.var_names, instance.integer, binary)
+                if i and not b]
     if binaries:
         lines.append("Binaries")
         lines.extend(f" {n}" for n in binaries)
@@ -513,13 +455,7 @@ def export_lp(instance: MilpInstance, path) -> None:
 def _join_terms(terms, fallback: str) -> str:
     if not terms:
         return f"0 {fallback}"
-    parts = []
-    for i, (name, coef) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        text = f"{_fmt(mag)} {name}" if mag != 1.0 else name
-        if i == 0:
-            parts.append(f"- {text}" if coef < 0 else text)
-        else:
-            parts.append(f"{sign} {text}")
-    return " ".join(parts)
+    text = " ".join(("- " if coef < 0 else "+ ")
+                    + (name if abs(coef) == 1.0 else f"{_fmt(abs(coef))} {name}")
+                    for name, coef in terms)
+    return text[2:] if text.startswith("+") else text

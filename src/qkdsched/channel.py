@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import NOISE_BUCKETS, Scenario
-from .orbit import VisibilityTable
+from .orbit import VisibilityTable, usable_slot_counts
 
 
 def binary_entropy(p):
@@ -148,6 +148,14 @@ class EstimateTable:
         for name in ("slot", "sat", "station", "transmissivity", "successes",
                      "qber", "rate", "cloud", "key_bits"):
             setattr(self, name, getattr(self, name)[order])
+        repeat = np.flatnonzero((np.diff(self.slot) == 0) & (np.diff(self.sat) == 0)
+                                & (np.diff(self.station) == 0))
+        if len(repeat):
+            i = repeat[0]
+            raise ValueError(
+                "duplicate estimate for (slot, satellite, station) "
+                f"({self.slot[i]}, {self.sat_ids[self.sat[i]]}, "
+                f"{self.station_ids[self.station[i]]})")
         self._bounds = np.searchsorted(self.slot, np.arange(self.n_slots + 1))
 
     def __len__(self):
@@ -170,13 +178,7 @@ class EstimateTable:
 
     def tau(self) -> np.ndarray:
         """Per-satellite count of slots with at least one usable link."""
-        out = np.zeros(self.n_sats, dtype=np.int64)
-        if len(self.slot):
-            key = self.sat * np.int64(self.n_slots) + self.slot
-            uniq = np.unique(key)
-            sats, counts = np.unique(uniq // self.n_slots, return_counts=True)
-            out[sats] = counts
-        return out
+        return usable_slot_counts(self.slot, self.sat, self.n_slots, self.n_sats)
 
     def take(self, mask: np.ndarray) -> "EstimateTable":
         """New table with the masked-in rows only."""
@@ -214,12 +216,9 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
     t = visibility.slot
 
     zenith = np.array([st.zenith_transmissivity[season] for st in scenario.stations])
-    eta_atm = np.ones_like(elev)
-    if len(elev):
-        eta_atm = zenith[g] ** (1.0 / np.sin(np.radians(elev)))
+    eta_atm = atmospheric_transmissivity(zenith[g], elev)
     eta_fs = free_space_transmissivity(dist, ch.receiver_aperture_m,
-                                       ch.transmit_divergence_urad) if len(dist) \
-        else np.zeros(0)
+                                       ch.transmit_divergence_urad)
     eta = eta_fs * eta_atm * spec.optics_transmissivity
 
     lam = expected_successes(eta, time.slot_duration_s, spec.source_rate_hz,
@@ -228,17 +227,16 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
     bg = np.array([[st.background_noise[b] for b in NOISE_BUCKETS]
                    for st in scenario.stations])
     bucket_idx = noise_bucket(t, time.slot_duration_s) // 6
-    p_noise = bg[g, bucket_idx] + spec.dark_count_prob if len(t) else np.zeros(0)
+    p_noise = bg[g, bucket_idx] + spec.dark_count_prob
     p_signal = eta * ch.detector_efficiency * ch.sifting_factor
-    e = qber_estimate(p_signal, p_noise, ch.intrinsic_error_rate) if len(t) \
-        else np.zeros(0)
+    e = qber_estimate(p_signal, p_noise, ch.intrinsic_error_rate)
     r = key_rate(e)
 
     if cloud_matrix is not None:
         cloud_matrix = np.asarray(cloud_matrix, dtype=float)
         if cloud_matrix.shape != (scenario.n_stations, time.slot_count):
             raise ValueError("cloud_matrix must be (n_stations, n_slots)")
-        c = cloud_matrix[g, t] if len(t) else np.zeros(0)
+        c = cloud_matrix[g, t]
     else:
         c = np.zeros(len(t))
 

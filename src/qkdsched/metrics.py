@@ -117,7 +117,7 @@ def write_report_json(path, report: RunReport, station_ids=None) -> None:
         fh.write("\n")
 
 
-def write_comparison_csv(path, reports, station_ids=None) -> None:
+def write_comparison_csv(path, reports) -> None:
     """One row per scheduler: headline numbers side by side."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

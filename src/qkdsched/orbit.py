@@ -79,6 +79,16 @@ def elevation_distance(sat_pos: np.ndarray, station_pos: np.ndarray) -> tuple:
     return elev, dist
 
 
+def usable_slot_counts(slot: np.ndarray, sat: np.ndarray, n_slots: int,
+                       n_sats: int) -> np.ndarray:
+    """Per-satellite count of distinct slots among the (slot, sat) rows."""
+    out = np.zeros(n_sats, dtype=np.int64)
+    key = np.asarray(sat, dtype=np.int64) * n_slots + slot
+    sats, counts = np.unique(np.unique(key) // n_slots, return_counts=True)
+    out[sats] = counts
+    return out
+
+
 @dataclass
 class VisibilityTable:
     """Sparse above-threshold geometry, sorted by (slot, satellite, station).
@@ -101,12 +111,7 @@ class VisibilityTable:
 
     def __post_init__(self):
         if self.tau is None:
-            self.tau = np.zeros(self.n_sats, dtype=np.int64)
-            if len(self.slot):
-                key = self.sat.astype(np.int64) * self.n_slots + self.slot
-                per_sat = np.unique(key) // self.n_slots
-                sats, counts = np.unique(per_sat, return_counts=True)
-                self.tau[sats] = counts
+            self.tau = usable_slot_counts(self.slot, self.sat, self.n_slots, self.n_sats)
 
     def __len__(self):
         return len(self.slot)

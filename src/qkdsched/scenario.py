@@ -125,10 +125,6 @@ class TimeGrid:
         if self.slot_count < 1:
             raise ScenarioError("slot_count must be >= 1")
 
-    @property
-    def horizon_s(self) -> float:
-        return self.slot_duration_s * self.slot_count
-
     def season(self) -> str:
         """Representative season key for the epoch month."""
         month = self.epoch.month

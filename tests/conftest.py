@@ -2,16 +2,19 @@
 
 The oracles here deliberately avoid the library's own algorithms: brute
 force permutation scans for the assignment solver, depth-first search with
-capacity pruning for the pairwise-key program, and plain bisection for the
-key-rate zero crossing. They are slow and only meant for desk-scale cross
-checks.
+capacity pruning for the pairwise-key program, plain bisection for the
+key-rate zero crossing, and loop-by-loop builders of the integer programs
+that the library assembles from index arrays. They are slow and only meant
+for desk-scale cross checks.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from qkdsched.alloc import MilpInstance
 from qkdsched.channel import EstimateTable
 
 
@@ -251,3 +254,168 @@ def toy_scenario():
                               detector_efficiency=0.5, sifting_factor=0.5,
                               intrinsic_error_rate=0.01),
     )
+
+
+def reference_phase2_instance(pools, pairs):
+    """Phase-2 round program built by plain loops, or None when it is skipped.
+
+    The per-pair, per-satellite, per-variable reading of the program that
+    ``solve_phase2_maxmin`` solves: one y variable per (satellite, pair)
+    with positive joint pool, then z; one floor row per pair, then one
+    pool row per link some variable draws on, satellite-major. Returns
+    None where the library skips the solve (no pairs, or a pair with no
+    joint capacity).
+    """
+    k = np.asarray(pools, dtype=np.int64)
+    n_sats, n_stations = k.shape
+    pairs = list(pairs)
+    if not pairs:
+        return None
+    variables = []  # (s, a, b)
+    for (a, b) in pairs:
+        for s in range(n_sats):
+            if min(k[s, a], k[s, b]) > 0:
+                variables.append((s, a, b))
+    pair_cap = {u: sum(int(min(k[s, u[0]], k[s, u[1]])) for s in range(n_sats))
+                for u in pairs}
+    if min(pair_cap.values()) == 0:
+        return None
+
+    n_y = len(variables)
+    rows, cols, data, b_ub, row_names = [], [], [], [], []
+    for u in pairs:
+        row = len(b_ub)
+        rows.append(row); cols.append(n_y); data.append(1.0)
+        for vi, (s, a, b) in enumerate(variables):
+            if (a, b) == u:
+                rows.append(row); cols.append(vi); data.append(-1.0)
+        b_ub.append(0.0)
+        row_names.append(f"floor_g{u[0]}_g{u[1]}")
+    for s in range(n_sats):
+        for g in range(n_stations):
+            touching = [vi for vi, (vs, a, b) in enumerate(variables)
+                        if vs == s and g in (a, b)]
+            if not touching:
+                continue
+            row = len(b_ub)
+            for vi in touching:
+                rows.append(row); cols.append(vi); data.append(1.0)
+            b_ub.append(float(k[s, g]))
+            row_names.append(f"pool_s{s}_g{g}")
+
+    objective = np.zeros(n_y + 1)
+    objective[-1] = 1.0
+    return MilpInstance(
+        name="phase2_maxmin", objective=objective,
+        a_ub=sparse.csr_matrix((data, (rows, cols)), shape=(len(b_ub), n_y + 1)),
+        b_ub=np.array(b_ub), lower=np.zeros(n_y + 1),
+        upper=np.array([float(min(k[s, a], k[s, b])) for (s, a, b) in variables]
+                       + [float(min(pair_cap.values()))]),
+        integer=np.array([True] * n_y + [False]),
+        var_names=[f"y_s{s}_g{a}_g{b}" for (s, a, b) in variables] + ["z"],
+        row_names=row_names,
+    )
+
+
+def reference_baseline_instance(estimates, objective="maxmin", pairs=None):
+    """Joint schedule-and-allocate program built by plain loops.
+
+    The row-by-row reading of ``build_baseline_instance``: x per estimate
+    row, y per (satellite, pair) with positive joint link capacity, z for
+    "maxmin"; transmitter rows by (slot, sat), receiver rows by (slot,
+    station), pool rows by (sat, station), then floor rows per pair.
+    """
+    if pairs is None:
+        pairs = _pair_list(estimates.n_stations)
+    pairs = list(pairs)
+    n_rows = len(estimates)
+    sat_of, g_of = estimates.sat_ids, estimates.station_ids
+    x_names = [f"x_t{int(estimates.slot[i])}_s{int(sat_of[estimates.sat[i]])}"
+               f"_g{int(g_of[estimates.station[i]])}" for i in range(n_rows)]
+
+    link_cap = {}
+    for i in range(n_rows):
+        key = (int(estimates.sat[i]), int(estimates.station[i]))
+        link_cap[key] = link_cap.get(key, 0.0) + float(estimates.key_bits[i])
+    y_vars = []
+    for (a, b) in pairs:
+        for s in range(estimates.n_sats):
+            cap = min(link_cap.get((s, a), 0.0), link_cap.get((s, b), 0.0))
+            if cap > 0:
+                y_vars.append((s, a, b, cap))
+    y_names = [f"y_s{int(sat_of[s])}_g{int(g_of[a])}_g{int(g_of[b])}"
+               for (s, a, b, _) in y_vars]
+
+    with_floor = objective == "maxmin"
+    n_vars = n_rows + len(y_vars) + (1 if with_floor else 0)
+    obj = np.zeros(n_vars)
+    if with_floor:
+        obj[-1] = 1.0
+    else:
+        obj[n_rows:n_rows + len(y_vars)] = 1.0
+    upper = np.ones(n_vars)
+    for vi, (s, a, b, cap) in enumerate(y_vars):
+        upper[n_rows + vi] = np.floor(cap)
+    integer = np.ones(n_vars, dtype=bool)
+    if with_floor:
+        pair_cap = [sum(np.floor(c) for (s, pa, pb, c) in y_vars if (pa, pb) == u)
+                    for u in pairs]
+        upper[-1] = min(pair_cap) if pair_cap else 0.0
+        integer[-1] = False
+
+    rows, cols, data, b_ub, row_names = [], [], [], [], []
+
+    def add_row(name, entries, rhs):
+        row = len(b_ub)
+        for col, coef in entries:
+            rows.append(row); cols.append(col); data.append(float(coef))
+        b_ub.append(float(rhs))
+        row_names.append(name)
+
+    by_ts, by_tg, by_link = {}, {}, {}
+    for i in range(n_rows):
+        t, s, g = int(estimates.slot[i]), int(estimates.sat[i]), int(estimates.station[i])
+        by_ts.setdefault((t, s), []).append(i)
+        by_tg.setdefault((t, g), []).append(i)
+        by_link.setdefault((s, g), []).append(i)
+    for (t, s), idx in sorted(by_ts.items()):
+        add_row(f"tx_t{t}_s{int(sat_of[s])}", [(i, 1.0) for i in idx],
+                int(estimates.transmitters[s]))
+    for (t, g), idx in sorted(by_tg.items()):
+        add_row(f"rx_t{t}_g{int(g_of[g])}", [(i, 1.0) for i in idx],
+                int(estimates.receivers[g]))
+    for (s, g), idx in sorted(by_link.items()):
+        entries = [(i, -float(estimates.key_bits[i])) for i in idx]
+        entries += [(n_rows + vi, 1.0) for vi, (vs, a, b, _) in enumerate(y_vars)
+                    if vs == s and g in (a, b)]
+        add_row(f"pool_s{int(sat_of[s])}_g{int(g_of[g])}", entries, 0.0)
+    if with_floor:
+        for (a, b) in pairs:
+            entries = [(n_vars - 1, 1.0)]
+            entries += [(n_rows + vi, -1.0) for vi, (vs, pa, pb, _) in enumerate(y_vars)
+                        if (pa, pb) == (a, b)]
+            add_row(f"floor_g{int(g_of[a])}_g{int(g_of[b])}", entries, 0.0)
+
+    return MilpInstance(
+        name=f"baseline_{objective}", objective=obj,
+        a_ub=sparse.csr_matrix((data, (rows, cols)), shape=(len(b_ub), n_vars)),
+        b_ub=np.array(b_ub), lower=np.zeros(n_vars), upper=upper, integer=integer,
+        var_names=x_names + y_names + (["z"] if with_floor else []),
+        row_names=row_names,
+    )
+
+
+def assert_same_instance(got, want):
+    """Field-by-field identity of two MilpInstance objects."""
+    assert got.name == want.name
+    assert got.var_names == want.var_names
+    assert got.row_names == want.row_names
+    for field in ("objective", "lower", "upper", "integer", "b_ub"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.a_ub.shape == want.a_ub.shape
+    assert np.array_equal(got.a_ub.toarray(), want.a_ub.toarray())
+    # the LP export writes each row's stored terms in their stored order
+    assert np.array_equal(got.a_ub.indptr, want.a_ub.indptr)
+    assert np.array_equal(got.a_ub.indices, want.a_ub.indices)
+    assert np.array_equal(got.a_ub.data, want.a_ub.data)

@@ -1,6 +1,7 @@
 """Pairwise allocation and exact baselines against enumeration oracles."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from qkdsched.sched import run_greedy
 
 from conftest import (
     _pair_list,
+    assert_same_instance,
     make_table,
     phase2_bruteforce_maxmin,
     phase2_bruteforce_maxsum,
     random_table,
+    reference_baseline_instance,
+    reference_phase2_instance,
 )
 
 
@@ -537,3 +541,77 @@ def test_small_knapsack_sanity():
     # the LP optimum 7/3 rounds down to 2, so the search closes after a
     # handful of nodes rather than the full 6**3 box
     assert result.nodes <= 25
+
+
+# ------------------------------------------ instances against loop builders
+
+def _random_pools_and_pairs(rng, trial):
+    n_sats, n_stations = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+    pools = rng.integers(0, 9, size=(n_sats, n_stations))
+    pools[rng.random(pools.shape) < 0.3] = 0
+    pairs = _pair_list(n_stations)
+    if trial % 3:   # a random subset, as the residual rounds pass
+        keep = rng.random(len(pairs)) < 0.7
+        pairs = [u for u, k in zip(pairs, keep) if k] or pairs[:1]
+    if trial % 5 == 0:   # every pair live, so both solves run
+        pools = pools + 1
+    return pools, pairs
+
+
+def test_phase2_instance_matches_loop_reference(rng, monkeypatch):
+    import qkdsched.alloc as alloc_mod
+
+    seen = []
+    solve = alloc_mod.branch_and_bound
+
+    def capture(instance, max_nodes=None):
+        seen.append(instance)
+        return solve(instance, max_nodes)
+
+    monkeypatch.setattr(alloc_mod, "branch_and_bound", capture)
+    built = 0
+    cases = [_random_pools_and_pairs(rng, trial) for trial in range(25)]
+    # a pair with no joint capacity skips the round; a zero pool is no row
+    cases.append((np.array([[3, 0, 2], [0, 4, 0]]), [(0, 1), (0, 2)]))
+    cases.append((np.array([[3, 0, 2], [0, 4, 5]]), [(0, 2), (1, 2)]))
+    for pools, pairs in cases:
+        seen.clear()
+        floor_value, _ = solve_phase2_maxmin(pools, pairs)
+        want = reference_phase2_instance(pools, pairs)
+        if want is None:
+            assert seen == [] and floor_value == 0
+            continue
+        built += 1
+        assert_same_instance(seen[0], want)
+        if floor_value:
+            n_y = want.n_vars - 1
+            assert_same_instance(seen[1], replace(
+                want, name="phase2_maxsum_at_floor",
+                objective=np.append(np.ones(n_y), 0.0),
+                lower=np.append(np.zeros(n_y), float(floor_value))))
+        else:
+            assert len(seen) == 1
+    assert built >= 10
+
+
+@pytest.mark.parametrize("objective", ["maxmin", "maxsum"])
+def test_baseline_instance_matches_loop_reference(rng, objective):
+    for trial in range(25):
+        n_sats, n_stations = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        table = random_table(rng, n_slots=int(rng.integers(1, 6)), n_sats=n_sats,
+                             n_stations=n_stations, density=0.5, scale=6.0)
+        if trial % 2:
+            table.transmitters = rng.integers(1, 3, size=n_sats)
+            table.receivers = rng.integers(1, 3, size=n_stations)
+            table.sat_ids = 10 + 3 * np.arange(n_sats)
+            table.station_ids = 100 + 7 * np.arange(n_stations)[::-1]
+        pairs = None if trial % 3 else station_pairs(n_stations)[::-1]
+        assert_same_instance(build_baseline_instance(table, objective, pairs),
+                             reference_baseline_instance(table, objective, pairs))
+    # station 2 sees no satellite that 0 or 1 sees, and one link has 0 bits
+    table = make_table(2, 2, 3, [(0, 0, 0, 2.5), (0, 1, 2, 3.0), (1, 0, 1, 0.0),
+                                 (1, 0, 0, 1.0), (1, 1, 2, 0.5)])
+    got = build_baseline_instance(table, objective)
+    assert_same_instance(got, reference_baseline_instance(table, objective))
+    if objective == "maxmin":
+        assert got.upper[-1] == 0.0

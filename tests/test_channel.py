@@ -166,3 +166,25 @@ def test_normalizer_all_zero_guard():
     from conftest import make_table
     t = make_table(3, 1, 2, [(0, 0, 0, 0.0), (1, 0, 1, 0.0)])
     assert t.normalizer == 1.0
+
+
+def test_build_estimates_empty_visibility(toy_scenario):
+    empty = np.zeros(0, dtype=np.int64)
+    vis = VisibilityTable(n_slots=toy_scenario.time.slot_count, n_sats=1, n_stations=1,
+                          slot=empty, sat=empty, station=empty,
+                          elevation_deg=np.zeros(0), distance_km=np.zeros(0))
+    clouds = np.zeros((toy_scenario.n_stations, toy_scenario.time.slot_count))
+    for cloud_matrix in (None, clouds):
+        table = channel.build_estimates(toy_scenario, vis, cloud_matrix=cloud_matrix)
+        assert len(table) == 0
+        for name in ("transmissivity", "successes", "qber", "rate", "cloud", "key_bits"):
+            assert getattr(table, name).shape == (0,), name
+        assert table.tau().tolist() == vis.tau.tolist() == [0]
+
+
+def test_estimate_table_rejects_duplicate_triple():
+    from conftest import make_table
+    with pytest.raises(ValueError, match=r"\(0, 1, 1\)"):
+        make_table(2, 2, 2, [(1, 0, 0, 2.0), (0, 1, 1, 5.0), (0, 1, 1, 1.0)])
+    # the same link in another slot is no repeat
+    assert len(make_table(2, 2, 2, [(0, 1, 1, 5.0), (1, 1, 1, 1.0)])) == 2

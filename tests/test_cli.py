@@ -146,6 +146,25 @@ def test_run_missing_scenario_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_run_rejects_duplicate_table_rows(tmp_path, capsys):
+    # a repeated (slot, satellite, station) would be bid on once but
+    # credited twice to the link pool
+    table = tmp_path / "dup.csv"
+    table.write_text(
+        "slot,satellite_id,station_id,transmissivity,successes,qber,key_rate,cloud,key_bits\n"
+        "0,1,1,0.0,5.0,0.0,1.0,0.0,5.0\n"
+        "0,1,2,0.0,3.0,0.0,1.0,0.0,3.0\n"
+        "0,1,1,0.0,1.0,0.0,1.0,0.0,1.0\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--table", str(table), "--schedulers", "greedy,maxsum",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input:")
+    assert "(0, 1, 1)" in err
+    assert not out.exists()
+
+
 def _clouded_scenario(tmp_path):
     """Two-satellite scenario with equatorial stations under the t=0 pass."""
     body = """
