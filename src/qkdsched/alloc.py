@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .channel import EstimateTable
-from .sched import Schedule, accumulate_pools
+from .sched import Schedule
 
 
 @dataclass
@@ -370,7 +370,7 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
         instance.export_path = str(export_path)
         if not max_nodes:
             return BaselineResult(
-                schedule=_baseline_schedule(estimates, chosen, {
+                schedule=Schedule.from_mask(estimates, chosen, {
                     "scheduler": objective, "exported": True}),
                 allocation=PairAllocation(pairs=pairs),
                 milp=MilpResult(status="exported"), instance=instance)
@@ -388,24 +388,12 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
             if v > 0:
                 alloc.bits[(s, *pairs[u])] = v
                 alloc.totals[pairs[u]] += v
-    schedule = _baseline_schedule(estimates, chosen, {
+    schedule = Schedule.from_mask(estimates, chosen, {
         "scheduler": objective, "milp_status": result.status,
         "milp_gap": float(result.gap) if np.isfinite(result.gap) else None,
         "milp_nodes": result.nodes})
     return BaselineResult(schedule=schedule, allocation=alloc, milp=result,
                           instance=instance)
-
-
-def _baseline_schedule(estimates: EstimateTable, chosen: np.ndarray,
-                       metadata: dict) -> Schedule:
-    """Schedule serving the estimate rows picked by the mask ``chosen``."""
-    slot, sat, station = (np.asarray(a[chosen], dtype=np.int64) for a in
-                          (estimates.slot, estimates.sat, estimates.station))
-    return Schedule(n_slots=estimates.n_slots, n_sats=estimates.n_sats,
-                    n_stations=estimates.n_stations, slot=slot, sat=sat,
-                    station=station,
-                    key_pool=accumulate_pools(slot, sat, station, estimates),
-                    metadata=metadata)
 
 
 # ------------------------------------------------------------------ LP export

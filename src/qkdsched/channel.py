@@ -161,12 +161,10 @@ class EstimateTable:
     def __len__(self):
         return len(self.slot)
 
-    def slot_rows(self, t: int) -> np.ndarray:
-        """Row indices of slot t (possibly empty)."""
-        return np.arange(self._bounds[t], self._bounds[t + 1])
-
-    def occupied_slots(self) -> np.ndarray:
-        return np.unique(self.slot)
+    def slot_spans(self) -> tuple:
+        """Row bounds (start, stop) of every occupied slot, in slot order."""
+        t = np.unique(self.slot)
+        return self._bounds[t], self._bounds[t + 1]
 
     @property
     def normalizer(self) -> float:
@@ -261,29 +259,23 @@ _CSV_HEADER = ["slot", "satellite_id", "station_id", "transmissivity",
 
 def write_estimates_csv(table: EstimateTable, path) -> None:
     """One row per estimated triple, raw ids, deterministic order."""
+    columns = [table.slot.tolist(), table.sat_ids[table.sat].tolist(),
+               table.station_ids[table.station].tolist()]
+    # repr of a tolist() float is repr(float(x)): the shortest round-trip text
+    columns += [map(repr, a.tolist()) for a in
+                (table.transmissivity, table.successes, table.qber, table.rate,
+                 table.cloud, table.key_bits)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_HEADER)
-        for i in range(len(table)):
-            w.writerow([
-                int(table.slot[i]),
-                int(table.sat_ids[table.sat[i]]),
-                int(table.station_ids[table.station[i]]),
-                repr(float(table.transmissivity[i])),
-                repr(float(table.successes[i])),
-                repr(float(table.qber[i])),
-                repr(float(table.rate[i])),
-                repr(float(table.cloud[i])),
-                repr(float(table.key_bits[i])),
-            ])
+        w.writerows(zip(*columns))
 
 
-def read_estimates_csv(path, transmitters: np.ndarray = None,
-                       receivers: np.ndarray = None) -> EstimateTable:
+def read_estimates_csv(path) -> EstimateTable:
     """Rebuild an estimate table written by :func:`write_estimates_csv`.
 
-    Ids are remapped to dense positional indices in sorted-id order; link
-    capacities default to one each unless supplied.
+    Ids are remapped to dense positional indices in sorted-id order; every
+    link capacity is one.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -309,6 +301,5 @@ def read_estimates_csv(path, transmitters: np.ndarray = None,
         slot=arr[:, 0].astype(np.int64), sat=sat_idx, station=g_idx,
         transmissivity=arr[:, 3], successes=arr[:, 4], qber=arr[:, 5],
         rate=arr[:, 6], cloud=arr[:, 7], key_bits=arr[:, 8],
-        transmitters=transmitters, receivers=receivers,
         sat_ids=sat_ids, station_ids=station_ids,
     )

@@ -36,49 +36,6 @@ def orbital_period(altitude_km: float) -> float:
     return 2.0 * math.pi / orbital_angular_rate(altitude_km)
 
 
-def propagate(raan_deg: float, anomaly_deg: float, altitude_km: float,
-              t: float) -> np.ndarray:
-    """Inertial position (km) of a polar-orbit satellite at time t seconds.
-
-    The orbit plane contains the Earth's axis; the ascending node lies in
-    the equatorial plane at right ascension ``raan_deg``. At anomaly 0 the
-    satellite crosses the node heading north.
-    """
-    r = EARTH_RADIUS_KM + altitude_km
-    nu = math.radians(anomaly_deg) + orbital_angular_rate(altitude_km) * t
-    raan = math.radians(raan_deg)
-    node = np.array([math.cos(raan), math.sin(raan), 0.0])
-    pole = np.array([0.0, 0.0, 1.0])
-    return r * (math.cos(nu) * node + math.sin(nu) * pole)
-
-
-def station_position(latitude_deg: float, longitude_deg: float, t: float) -> np.ndarray:
-    """Inertial position (km) of a ground station at time t seconds.
-
-    At t = 0 the rotating frame coincides with the inertial one, so a
-    station's right ascension equals its longitude.
-    """
-    lat = math.radians(latitude_deg)
-    lon = math.radians(longitude_deg) + EARTH_ROT_RAD_S * t
-    return EARTH_RADIUS_KM * np.array([
-        math.cos(lat) * math.cos(lon),
-        math.cos(lat) * math.sin(lon),
-        math.sin(lat),
-    ])
-
-
-def elevation_distance(sat_pos: np.ndarray, station_pos: np.ndarray) -> tuple:
-    """Elevation angle (deg) and slant range (km) from station to satellite."""
-    d = np.asarray(sat_pos, dtype=float) - np.asarray(station_pos, dtype=float)
-    dist = float(np.linalg.norm(d))
-    if dist == 0.0:
-        raise ValueError("satellite and station coincide")
-    up = np.asarray(station_pos, dtype=float)
-    up = up / np.linalg.norm(up)
-    elev = math.degrees(math.asin(float(np.dot(d, up)) / dist))
-    return elev, dist
-
-
 def usable_slot_counts(slot: np.ndarray, sat: np.ndarray, n_slots: int,
                        n_sats: int) -> np.ndarray:
     """Per-satellite count of distinct slots among the (slot, sat) rows."""

@@ -6,6 +6,12 @@ to per-satellite transmitter and per-station receiver counts. Round-robin
 ignores link quality and balances service counts, greedy chases the best
 instantaneous link, and the opportunistic family maximises throughput while
 dual multipliers drag every link's long-run rate up to a target floor.
+
+A schedule is a served-row mask over the estimate table, which is sorted
+by (slot, satellite, station); :meth:`Schedule.from_mask` turns any mask
+into served triples and key pools. Known limitation: in a slot that
+violates Hall's condition, :func:`_solve_slot` keeps whichever rows
+``maximum_bipartite_matching`` matches, whatever their weights.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ from .channel import EstimateTable
 class Schedule:
     """Service decisions plus the per-link key pools they imply.
 
-    ``key_pool`` maps (sat index, station index) to whole key bits: the
-    floor of the summed per-slot key bits of the served slots. Flooring
-    happens here once, not per slot.
+    ``slot``/``sat``/``station`` are the served estimate rows in table
+    order. ``key_pool`` maps (sat index, station index), for every link
+    served at least once, to whole key bits: the floor of the summed
+    per-slot key bits of the served slots. Flooring happens here once, not
+    per slot.
     """
 
     n_slots: int
@@ -41,6 +49,24 @@ class Schedule:
     def __len__(self):
         return len(self.slot)
 
+    @classmethod
+    def from_mask(cls, estimates: EstimateTable, served: np.ndarray,
+                  metadata: dict) -> "Schedule":
+        """Schedule serving the estimate rows where ``served`` is True."""
+        served = np.asarray(served, dtype=bool)
+        g = estimates.n_stations
+        link = _links(estimates)[served]
+        # bincount adds in row order, the order the pools have always summed in
+        raw = np.bincount(link, weights=estimates.key_bits[served],
+                          minlength=estimates.n_sats * g)
+        links = np.unique(link)
+        pools = np.floor(raw[links]).astype(np.int64)
+        slot, sat, station = (np.asarray(a[served], dtype=np.int64) for a in
+                              (estimates.slot, estimates.sat, estimates.station))
+        return cls(estimates.n_slots, estimates.n_sats, g, slot, sat, station,
+                   {divmod(k, g): v for k, v in zip(links.tolist(), pools.tolist())},
+                   metadata)
+
 
 @dataclass
 class MinRateProfile:
@@ -54,109 +80,46 @@ class MinRateProfile:
     rates: np.ndarray
     normalizer: float
 
-    def __getitem__(self, key):
-        return float(self.rates[key])
+
+def _links(estimates: EstimateTable) -> np.ndarray:
+    """Flat link index ``sat * n_stations + station`` of every row."""
+    return estimates.sat * estimates.n_stations + estimates.station
 
 
-def _bits_lookup(estimates: EstimateTable):
-    """Composite-key index for O(log n) per-triple key-bit lookups."""
-    key = (estimates.slot * estimates.n_sats + estimates.sat) \
-        * estimates.n_stations + estimates.station
-    order = np.argsort(key, kind="stable")
-    return key[order], estimates.key_bits[order]
+def _solve_slot(estimates: EstimateTable, lo: int, hi: int,
+                weight: np.ndarray, maximize: bool) -> np.ndarray:
+    """Rows of the slot spanning rows [lo, hi) that an optimal assignment
+    serves, given one weight per row.
 
-
-def accumulate_pools(slot: np.ndarray, sat: np.ndarray, station: np.ndarray,
-                     estimates: EstimateTable) -> dict:
-    """Sum served key bits per link and floor once at the end."""
-    keys, bits = _bits_lookup(estimates)
-    want = (np.asarray(slot, dtype=np.int64) * estimates.n_sats
-            + np.asarray(sat, dtype=np.int64)) * estimates.n_stations \
-        + np.asarray(station, dtype=np.int64)
-    pos = np.searchsorted(keys, want)
-    if len(want) and (np.any(pos >= len(keys)) or np.any(keys[np.minimum(pos, len(keys) - 1)] != want)):
-        raise ValueError("schedule serves a triple missing from the estimates")
-    raw: dict = {}
-    for s, g, b in zip(sat, station, bits[pos] if len(want) else []):
-        raw[(int(s), int(g))] = raw.get((int(s), int(g)), 0.0) + float(b)
-    return {k: int(np.floor(v)) for k, v in sorted(raw.items())}
-
-
-def _finish(entries: list, estimates: EstimateTable, metadata: dict) -> Schedule:
-    if entries:
-        arr = np.array(entries, dtype=np.int64)
-        slot, sat, station = arr[:, 0], arr[:, 1], arr[:, 2]
-    else:
-        slot = sat = station = np.zeros(0, dtype=np.int64)
-    return Schedule(
-        n_slots=estimates.n_slots, n_sats=estimates.n_sats,
-        n_stations=estimates.n_stations,
-        slot=slot, sat=sat, station=station,
-        key_pool=accumulate_pools(slot, sat, station, estimates),
-        metadata=metadata,
-    )
-
-
-class _SlotView:
-    """One slot's bipartite link graph with replicated capacity entities."""
-
-    def __init__(self, estimates: EstimateTable, rows: np.ndarray):
-        self.sats = np.unique(estimates.sat[rows])
-        self.stations = np.unique(estimates.station[rows])
-        self.bits = {}
-        for r in rows:
-            self.bits[(int(estimates.sat[r]), int(estimates.station[r]))] = \
-                float(estimates.key_bits[r])
-        tx = estimates.transmitters
-        rx = estimates.receivers
-        self.sat_entities = [int(s) for s in self.sats for _ in range(int(tx[s]))]
-        self.station_entities = [int(g) for g in self.stations for _ in range(int(rx[g]))]
-        # rows = strictly smaller side; stations on ties
-        self.rows_are_sats = len(self.sat_entities) < len(self.station_entities)
-
-    def matrix(self, weight_of) -> WeightMatrix:
-        if self.rows_are_sats:
-            row_e, col_e = self.sat_entities, self.station_entities
-        else:
-            row_e, col_e = self.station_entities, self.sat_entities
-        w = np.zeros((len(row_e), len(col_e)))
-        feas = np.zeros((len(row_e), len(col_e)), dtype=bool)
-        for i, a in enumerate(row_e):
-            for j, b in enumerate(col_e):
-                s, g = (a, b) if self.rows_are_sats else (b, a)
-                if (s, g) in self.bits:
-                    feas[i, j] = True
-                    w[i, j] = weight_of(s, g)
-        return WeightMatrix(weights=w, feasible=feas)
-
-    def pairs_from(self, row_to_col: np.ndarray, row_mask=None) -> list:
-        row_e = self.sat_entities if self.rows_are_sats else self.station_entities
-        col_e = self.station_entities if self.rows_are_sats else self.sat_entities
-        served, seen = [], set()
-        idx = range(len(row_e)) if row_mask is None else row_mask
-        for i, j in zip(idx, row_to_col):
-            a, b = row_e[i], col_e[int(j)]
-            s, g = (a, b) if self.rows_are_sats else (b, a)
-            if (s, g) not in seen:     # collapse duplicate capacity copies
-                seen.add((s, g))
-                served.append((s, g))
-        return served
-
-
-def _solve_slot(view: _SlotView, weight_of, maximize: bool) -> list:
-    """Assign one slot; falls back to a maximum matchable row subset when
-    the visibility pattern leaves no complete matching of the rows."""
-    matrix = view.matrix(weight_of)
+    Each satellite and station appears once per transmitter or receiver;
+    the smaller side (stations on ties) forms the matrix rows. When no
+    complete matching of the matrix rows exists, the rows of a maximum
+    matching are solved instead.
+    """
+    sats, si = np.unique(estimates.sat[lo:hi], return_inverse=True)
+    stations, gi = np.unique(estimates.station[lo:hi], return_inverse=True)
+    link = np.full((len(sats), len(stations)), -1)
+    link[si, gi] = np.arange(hi - lo)
+    sat_copies = np.repeat(np.arange(len(sats)), estimates.transmitters[sats])
+    station_copies = np.repeat(np.arange(len(stations)), estimates.receivers[stations])
+    cell = link[np.ix_(sat_copies, station_copies)]
+    if len(sat_copies) >= len(station_copies):
+        cell = cell.T
+    feasible = cell >= 0
+    matrix = WeightMatrix(weights=np.where(feasible, weight[cell], 0.0),
+                          feasible=feasible)
+    rows = np.arange(len(cell))
     try:
-        return view.pairs_from(solve_assignment(matrix, maximize=maximize))
+        cols = solve_assignment(matrix, maximize=maximize)
     except AssignmentInfeasibleError:
-        adjacency = csr_matrix(matrix.feasible.astype(np.int8))
-        match = maximum_bipartite_matching(adjacency, perm_type="column")
-        keep = np.flatnonzero(match >= 0)
-        sub = WeightMatrix(weights=matrix.weights[keep],
-                           feasible=matrix.feasible[keep])
-        sol = solve_assignment(sub, maximize=maximize)
-        return view.pairs_from(sol, row_mask=keep)
+        match = maximum_bipartite_matching(csr_matrix(feasible.astype(np.int8)),
+                                           perm_type="column")
+        rows = np.flatnonzero(match >= 0)
+        cols = solve_assignment(WeightMatrix(weights=matrix.weights[rows],
+                                             feasible=feasible[rows]),
+                                maximize=maximize)
+    # capacity copies of one link collapse to its single row
+    return lo + np.unique(cell[rows, cols])
 
 
 def run_rr(estimates: EstimateTable) -> Schedule:
@@ -167,68 +130,56 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     assignment over the current service counters, which rotates service
     across links regardless of their quality.
     """
-    counters = np.zeros((estimates.n_sats, estimates.n_stations))
-    entries = []
-    for t in estimates.occupied_slots():
-        rows = estimates.slot_rows(t)
-        if len(rows) == 1:
-            s, g = int(estimates.sat[rows[0]]), int(estimates.station[rows[0]])
-            entries.append((int(t), s, g))
-            counters[s, g] += 1.0
-    direct_slots = {e[0] for e in entries}
-    for t in estimates.occupied_slots():
-        if int(t) in direct_slots:
-            continue
-        view = _SlotView(estimates, estimates.slot_rows(t))
-        served = _solve_slot(view, lambda s, g: counters[s, g], maximize=False)
-        for s, g in served:
-            entries.append((int(t), s, g))
-            counters[s, g] += 1.0
-    entries.sort()
-    return _finish(entries, estimates, {"scheduler": "rr"})
+    link = _links(estimates)
+    lo, hi = estimates.slot_spans()
+    single = hi - lo == 1
+    served = np.zeros(len(estimates), dtype=bool)
+    served[lo[single]] = True
+    counters = np.bincount(link[lo[single]],
+                           minlength=estimates.n_sats * estimates.n_stations).astype(float)
+    for a, b in zip(lo[~single].tolist(), hi[~single].tolist()):
+        rows = _solve_slot(estimates, a, b, counters[link[a:b]], maximize=False)
+        served[rows] = True
+        counters[link[rows]] += 1.0
+    return Schedule.from_mask(estimates, served, {"scheduler": "rr"})
 
 
 def run_greedy(estimates: EstimateTable) -> Schedule:
     """Stations bid for their best-rate satellite; poorer pools win fights.
 
     Within a slot every unserved station claims the visible satellite with
-    the most key bits on offer. An oversubscribed satellite takes the
-    claimants it has accumulated the fewest key bits with (station index
-    breaks ties); losers re-bid among the satellites still free this slot.
+    the most key bits on offer (the lowest satellite index on ties). An
+    oversubscribed satellite takes the claimants it has accumulated the
+    fewest key bits with (station index breaks ties); losers re-bid among
+    the satellites still free this slot.
     """
-    raw_pool: dict = {}
-    entries = []
-    for t in estimates.occupied_slots():
-        rows = estimates.slot_rows(t)
-        view = _SlotView(estimates, rows)
-        rem_tx = {int(s): int(estimates.transmitters[s]) for s in view.sats}
-        rem_rx = {int(g): int(estimates.receivers[g]) for g in view.stations}
-        linked = set()
+    link = _links(estimates)
+    pool = np.zeros(estimates.n_sats * estimates.n_stations)
+    served = np.zeros(len(estimates), dtype=bool)
+    lo, hi = estimates.slot_spans()
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        sats, si = np.unique(estimates.sat[a:b], return_inverse=True)
+        stations, gi = np.unique(estimates.station[a:b], return_inverse=True)
+        tx, rx = estimates.transmitters[sats], estimates.receivers[stations]
+        w, l = estimates.key_bits[a:b], link[a:b]
+        open_ = np.ones(b - a, dtype=bool)
         while True:
-            bids: dict = {}
-            for g in sorted(rem_rx):
-                if rem_rx[g] <= 0:
-                    continue
-                options = [(s, view.bits[(s, g)]) for s in sorted(rem_tx)
-                           if rem_tx[s] > 0 and (s, g) in view.bits
-                           and (s, g) not in linked]
-                if not options:
-                    continue
-                best = max(options, key=lambda it: (it[1], -it[0]))
-                bids.setdefault(best[0], []).append(g)
-            if not bids:
+            cand = np.flatnonzero(open_ & (tx[si] > 0) & (rx[gi] > 0))
+            if not len(cand):
                 break
-            for s in sorted(bids):
-                claimants = sorted(bids[s],
-                                   key=lambda g: (raw_pool.get((s, g), 0.0), g))
-                for g in claimants[:rem_tx[s]]:
-                    linked.add((s, g))
-                    rem_rx[g] -= 1
-                    raw_pool[(s, g)] = raw_pool.get((s, g), 0.0) + view.bits[(s, g)]
-                    entries.append((int(t), s, g))
-                rem_tx[s] -= min(rem_tx[s], len(claimants))
-    entries.sort()
-    return _finish(entries, estimates, {"scheduler": "greedy"})
+            # each station bids on its best offer, lowest satellite on ties
+            cand = cand[np.lexsort((si[cand], -w[cand], gi[cand]))]
+            bid = cand[np.r_[True, gi[cand[1:]] != gi[cand[:-1]]]]
+            # each satellite keeps its first tx claimants by (pool, station)
+            bid = bid[np.lexsort((gi[bid], pool[l[bid]], si[bid]))]
+            rank = np.arange(len(bid)) - np.searchsorted(si[bid], si[bid])
+            win = bid[rank < tx[si[bid]]]
+            tx = np.maximum(tx - np.bincount(si[bid], minlength=len(sats)), 0)
+            rx[gi[win]] -= 1
+            open_[win] = False
+            pool[l[win]] += w[win]
+            served[a + win] = True
+    return Schedule.from_mask(estimates, served, {"scheduler": "greedy"})
 
 
 def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> MinRateProfile:
@@ -262,35 +213,31 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lam = np.zeros((estimates.n_sats, estimates.n_stations))
+    link = _links(estimates)
+    target = targets.rates.ravel()
+    lam = np.zeros(estimates.n_sats * estimates.n_stations)
     norm = estimates.normalizer
-    slots = estimates.occupied_slots()
+    lo, hi = estimates.slot_spans()
+    spans = list(zip(lo.tolist(), hi.tolist()))
     converged = False
     passes = 0
-    entries: list = []
+    served = np.zeros(len(estimates), dtype=bool)
     for _ in range(max_passes):
         lam_start = lam.copy()
-        entries = []
-        for t in slots:
-            view = _SlotView(estimates, estimates.slot_rows(t))
-            served = _solve_slot(
-                view, lambda s, g: (1.0 + lam[s, g]) * view.bits[(s, g)] / norm,
-                maximize=True)
-            for s, g in served:
-                entries.append((int(t), s, g))
-            served_set = set(served)
-            for (s, g), bits in view.bits.items():
-                u = bits / norm
-                if (s, g) in served_set:
-                    lam[s, g] = max(0.0, lam[s, g] - delta * (u - targets[s, g]))
-                else:
-                    lam[s, g] = max(0.0, lam[s, g] + delta * targets[s, g])
+        served = np.zeros(len(estimates), dtype=bool)
+        for a, b in spans:
+            l, bits = link[a:b], estimates.key_bits[a:b]
+            rows = _solve_slot(estimates, a, b, (1.0 + lam[l]) * bits / norm,
+                               maximize=True)
+            served[rows] = True
+            u, r = bits / norm, target[l]
+            lam[l] = np.maximum(0.0, np.where(served[a:b], lam[l] - delta * (u - r),
+                                              lam[l] + delta * r))
         passes += 1
         if float(np.abs(lam - lam_start).max(initial=0.0)) < tol:
             converged = True
             break
-    entries.sort()
-    return _finish(entries, estimates, {
+    return Schedule.from_mask(estimates, served, {
         "scheduler": "opportunistic",
         "passes": passes,
         "converged": converged,

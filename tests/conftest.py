@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the library's own algorithms: brute
 force permutation scans for the assignment solver, depth-first search with
 capacity pruning for the pairwise-key program, plain bisection for the
-key-rate zero crossing, and loop-by-loop builders of the integer programs
-that the library assembles from index arrays. They are slow and only meant
-for desk-scale cross checks.
+key-rate zero crossing, scalar per-triple geometry for the visibility scan,
+loop-by-loop builders of the integer programs that the library assembles
+from index arrays, and dict-based Phase-1 schedulers for the array ones.
+They are slow and only meant for desk-scale cross checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scipy import sparse
 
 from qkdsched.alloc import MilpInstance
 from qkdsched.channel import EstimateTable
+from qkdsched.orbit import EARTH_RADIUS_KM, EARTH_ROT_RAD_S, MU_KM3_S2
 
 
 def brute_force_assignment(weights, feasible, maximize=True):
@@ -179,6 +182,48 @@ def check_schedule(schedule, estimates):
         bits[(s, g)] = bits.get((s, g), 0.0) + lookup[(t, s, g)]
     expect = {k: int(np.floor(v)) for k, v in bits.items()}
     assert schedule.key_pool == expect, "pool accounting mismatch"
+
+
+def reference_propagate(raan_deg, anomaly_deg, altitude_km, t):
+    """Inertial position (km) of a polar-orbit satellite at time t seconds.
+
+    The orbit plane contains the Earth's axis; the ascending node lies in
+    the equatorial plane at right ascension ``raan_deg``. At anomaly 0 the
+    satellite crosses the node heading north.
+    """
+    r = EARTH_RADIUS_KM + altitude_km
+    nu = math.radians(anomaly_deg) + math.sqrt(MU_KM3_S2 / r**3) * t
+    raan = math.radians(raan_deg)
+    node = np.array([math.cos(raan), math.sin(raan), 0.0])
+    pole = np.array([0.0, 0.0, 1.0])
+    return r * (math.cos(nu) * node + math.sin(nu) * pole)
+
+
+def reference_station_position(latitude_deg, longitude_deg, t):
+    """Inertial position (km) of a ground station at time t seconds.
+
+    At t = 0 the rotating frame coincides with the inertial one, so a
+    station's right ascension equals its longitude.
+    """
+    lat = math.radians(latitude_deg)
+    lon = math.radians(longitude_deg) + EARTH_ROT_RAD_S * t
+    return EARTH_RADIUS_KM * np.array([
+        math.cos(lat) * math.cos(lon),
+        math.cos(lat) * math.sin(lon),
+        math.sin(lat),
+    ])
+
+
+def reference_elevation_distance(sat_pos, station_pos):
+    """Elevation angle (deg) and slant range (km) from station to satellite."""
+    d = np.asarray(sat_pos, dtype=float) - np.asarray(station_pos, dtype=float)
+    dist = float(np.linalg.norm(d))
+    if dist == 0.0:
+        raise ValueError("satellite and station coincide")
+    up = np.asarray(station_pos, dtype=float)
+    up = up / np.linalg.norm(up)
+    elev = math.degrees(math.asin(float(np.dot(d, up)) / dist))
+    return elev, dist
 
 
 def bisect_root(fn, lo, hi, tol=1e-12):
@@ -419,3 +464,201 @@ def assert_same_instance(got, want):
     assert np.array_equal(got.a_ub.indptr, want.a_ub.indptr)
     assert np.array_equal(got.a_ub.indices, want.a_ub.indices)
     assert np.array_equal(got.a_ub.data, want.a_ub.data)
+
+
+# ------------------------------------------------------ reference schedulers
+#
+# The Phase-1 schedulers as they were written before schedules became
+# served-row masks: per-slot dicts of key bits, replicated capacity
+# entities, a weight callback per matrix cell, (slot, sat, station) tuples
+# sorted at the end and pools summed link by link in a dict. The library's
+# array schedulers must reproduce them exactly.
+
+def _reference_schedule(entries, estimates, metadata):
+    from qkdsched.sched import Schedule
+
+    entries = sorted(entries)
+    lookup = {(int(t), int(s), int(g)): float(b)
+              for t, s, g, b in zip(estimates.slot, estimates.sat,
+                                    estimates.station, estimates.key_bits)}
+    raw = {}
+    for t, s, g in entries:
+        raw[(s, g)] = raw.get((s, g), 0.0) + lookup[(t, s, g)]
+    arr = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    return Schedule(
+        n_slots=estimates.n_slots, n_sats=estimates.n_sats,
+        n_stations=estimates.n_stations,
+        slot=arr[:, 0], sat=arr[:, 1], station=arr[:, 2],
+        key_pool={k: int(np.floor(v)) for k, v in sorted(raw.items())},
+        metadata=metadata,
+    )
+
+
+class _ReferenceSlotView:
+    """One slot's bipartite link graph with replicated capacity entities."""
+
+    def __init__(self, estimates, rows):
+        self.sats = np.unique(estimates.sat[rows])
+        self.stations = np.unique(estimates.station[rows])
+        self.bits = {}
+        for r in rows:
+            self.bits[(int(estimates.sat[r]), int(estimates.station[r]))] = \
+                float(estimates.key_bits[r])
+        tx = estimates.transmitters
+        rx = estimates.receivers
+        self.sat_entities = [int(s) for s in self.sats for _ in range(int(tx[s]))]
+        self.station_entities = [int(g) for g in self.stations for _ in range(int(rx[g]))]
+        # rows = strictly smaller side; stations on ties
+        self.rows_are_sats = len(self.sat_entities) < len(self.station_entities)
+
+    def matrix(self, weight_of):
+        from qkdsched.assign import WeightMatrix
+
+        if self.rows_are_sats:
+            row_e, col_e = self.sat_entities, self.station_entities
+        else:
+            row_e, col_e = self.station_entities, self.sat_entities
+        w = np.zeros((len(row_e), len(col_e)))
+        feas = np.zeros((len(row_e), len(col_e)), dtype=bool)
+        for i, a in enumerate(row_e):
+            for j, b in enumerate(col_e):
+                s, g = (a, b) if self.rows_are_sats else (b, a)
+                if (s, g) in self.bits:
+                    feas[i, j] = True
+                    w[i, j] = weight_of(s, g)
+        return WeightMatrix(weights=w, feasible=feas)
+
+    def pairs_from(self, row_to_col, row_mask=None):
+        row_e = self.sat_entities if self.rows_are_sats else self.station_entities
+        col_e = self.station_entities if self.rows_are_sats else self.sat_entities
+        served, seen = [], set()
+        idx = range(len(row_e)) if row_mask is None else row_mask
+        for i, j in zip(idx, row_to_col):
+            a, b = row_e[i], col_e[int(j)]
+            s, g = (a, b) if self.rows_are_sats else (b, a)
+            if (s, g) not in seen:     # collapse duplicate capacity copies
+                seen.add((s, g))
+                served.append((s, g))
+        return served
+
+
+def _reference_solve_slot(view, weight_of, maximize):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    from qkdsched.assign import (AssignmentInfeasibleError, WeightMatrix,
+                                 solve_assignment)
+
+    matrix = view.matrix(weight_of)
+    try:
+        return view.pairs_from(solve_assignment(matrix, maximize=maximize))
+    except AssignmentInfeasibleError:
+        adjacency = csr_matrix(matrix.feasible.astype(np.int8))
+        match = maximum_bipartite_matching(adjacency, perm_type="column")
+        keep = np.flatnonzero(match >= 0)
+        sub = WeightMatrix(weights=matrix.weights[keep],
+                           feasible=matrix.feasible[keep])
+        sol = solve_assignment(sub, maximize=maximize)
+        return view.pairs_from(sol, row_mask=keep)
+
+
+def _reference_slots(estimates):
+    """(slot, row indices) of every occupied slot, in slot order."""
+    return [(int(t), np.flatnonzero(estimates.slot == t))
+            for t in np.unique(estimates.slot)]
+
+
+def reference_run_rr(estimates):
+    counters = np.zeros((estimates.n_sats, estimates.n_stations))
+    entries = []
+    slots = _reference_slots(estimates)
+    for t, rows in slots:
+        if len(rows) == 1:
+            s, g = int(estimates.sat[rows[0]]), int(estimates.station[rows[0]])
+            entries.append((t, s, g))
+            counters[s, g] += 1.0
+    direct_slots = {e[0] for e in entries}
+    for t, rows in slots:
+        if t in direct_slots:
+            continue
+        view = _ReferenceSlotView(estimates, rows)
+        served = _reference_solve_slot(view, lambda s, g: counters[s, g],
+                                       maximize=False)
+        for s, g in served:
+            entries.append((t, s, g))
+            counters[s, g] += 1.0
+    return _reference_schedule(entries, estimates, {"scheduler": "rr"})
+
+
+def reference_run_greedy(estimates):
+    raw_pool = {}
+    entries = []
+    for t, rows in _reference_slots(estimates):
+        view = _ReferenceSlotView(estimates, rows)
+        rem_tx = {int(s): int(estimates.transmitters[s]) for s in view.sats}
+        rem_rx = {int(g): int(estimates.receivers[g]) for g in view.stations}
+        linked = set()
+        while True:
+            bids = {}
+            for g in sorted(rem_rx):
+                if rem_rx[g] <= 0:
+                    continue
+                options = [(s, view.bits[(s, g)]) for s in sorted(rem_tx)
+                           if rem_tx[s] > 0 and (s, g) in view.bits
+                           and (s, g) not in linked]
+                if not options:
+                    continue
+                best = max(options, key=lambda it: (it[1], -it[0]))
+                bids.setdefault(best[0], []).append(g)
+            if not bids:
+                break
+            for s in sorted(bids):
+                claimants = sorted(bids[s],
+                                   key=lambda g: (raw_pool.get((s, g), 0.0), g))
+                for g in claimants[:rem_tx[s]]:
+                    linked.add((s, g))
+                    rem_rx[g] -= 1
+                    raw_pool[(s, g)] = raw_pool.get((s, g), 0.0) + view.bits[(s, g)]
+                    entries.append((t, s, g))
+                rem_tx[s] -= min(rem_tx[s], len(claimants))
+    return _reference_schedule(entries, estimates, {"scheduler": "greedy"})
+
+
+def reference_run_opportunistic(estimates, targets, delta=0.01, max_passes=50,
+                                tol=1e-4):
+    lam = np.zeros((estimates.n_sats, estimates.n_stations))
+    norm = estimates.normalizer
+    slots = _reference_slots(estimates)
+    converged = False
+    passes = 0
+    entries = []
+    for _ in range(max_passes):
+        lam_start = lam.copy()
+        entries = []
+        for t, rows in slots:
+            view = _ReferenceSlotView(estimates, rows)
+            served = _reference_solve_slot(
+                view, lambda s, g: (1.0 + lam[s, g]) * view.bits[(s, g)] / norm,
+                maximize=True)
+            for s, g in served:
+                entries.append((t, s, g))
+            served_set = set(served)
+            for (s, g), bits in view.bits.items():
+                u = bits / norm
+                r = float(targets.rates[s, g])
+                if (s, g) in served_set:
+                    lam[s, g] = max(0.0, lam[s, g] - delta * (u - r))
+                else:
+                    lam[s, g] = max(0.0, lam[s, g] + delta * r)
+        passes += 1
+        if float(np.abs(lam - lam_start).max(initial=0.0)) < tol:
+            converged = True
+            break
+    return _reference_schedule(entries, estimates, {
+        "scheduler": "opportunistic",
+        "passes": passes,
+        "converged": converged,
+        "delta": delta,
+        "tol": tol,
+        "max_multiplier": float(lam.max(initial=0.0)),
+    })

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qkdsched import sched
-from conftest import check_schedule, make_table, random_table
+from conftest import (check_schedule, make_table, random_table,
+                      reference_run_greedy, reference_run_opportunistic,
+                      reference_run_rr)
 
 
 def _full_table(n_slots, n_sats, n_stations, bits_fn, **kw):
@@ -14,17 +16,12 @@ def _full_table(n_slots, n_sats, n_stations, bits_fn, **kw):
 # ---------------------------------------------------------------- pools
 
 def test_pools_floor_once():
-    # two slots of 10.5 bits floor to 21, not 2 * floor(10.5) = 20
-    table = make_table(2, 1, 1, [(0, 0, 0, 10.5), (1, 0, 0, 10.5)])
-    pools = sched.accumulate_pools(np.array([0, 1]), np.array([0, 0]),
-                                   np.array([0, 0]), table)
-    assert pools == {(0, 0): 21}
-
-
-def test_pools_reject_unknown_triple():
-    table = make_table(2, 1, 1, [(0, 0, 0, 1.0)])
-    with pytest.raises(ValueError, match="missing"):
-        sched.accumulate_pools(np.array([1]), np.array([0]), np.array([0]), table)
+    # two slots of 10.5 bits floor to 21, not 2 * floor(10.5) = 20; a
+    # served zero-bit link still gets its (empty) pool
+    table = make_table(2, 2, 1, [(0, 0, 0, 10.5), (1, 0, 0, 10.5), (1, 1, 0, 0.0)])
+    out = sched.Schedule.from_mask(table, np.array([True, True, True]), {})
+    assert out.key_pool == {(0, 0): 21, (1, 0): 0}
+    assert list(zip(out.slot.tolist(), out.sat.tolist())) == [(0, 0), (1, 0), (1, 1)]
 
 
 # ---------------------------------------------------------------- round robin
@@ -116,15 +113,15 @@ def test_derive_min_rates_hand_value():
     prof = sched.derive_min_rates(schedule, table)
     # tau = 3 usable slots, normalizer = 10.5
     assert prof.normalizer == 10.5
-    assert prof[0, 0] == pytest.approx(21 / 3 / 10.5)
-    assert prof[0, 1] == pytest.approx(4 / 3 / 10.5)
+    assert prof.rates[0, 0] == pytest.approx(21 / 3 / 10.5)
+    assert prof.rates[0, 1] == pytest.approx(4 / 3 / 10.5)
 
 
 def test_derive_min_rates_zero_tau_guard():
     table = make_table(3, 2, 1, [(0, 0, 0, 2.0)])
     schedule = sched.run_greedy(table)
     prof = sched.derive_min_rates(schedule, table)
-    assert prof[1, 0] == 0.0
+    assert prof.rates[1, 0] == 0.0
 
 
 # ---------------------------------------------------------------- opportunistic
@@ -228,3 +225,55 @@ def test_rr_deterministic_across_runs(rng):
     assert np.array_equal(a.sat, b.sat)
     assert np.array_equal(a.station, b.station)
     assert a.key_pool == b.key_pool
+
+
+def _reference_case(rng, rounded):
+    n_sats, n_stations = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    density = float(rng.uniform(0.2, 0.8))
+    rows = []
+    for t in range(12):
+        for s in range(n_sats):
+            for g in range(n_stations):
+                if rng.random() < density:
+                    bits = rng.random() * 4.0
+                    rows.append((t, s, g, float(np.round(bits)) if rounded else bits))
+    if not rows:
+        rows.append((0, 0, 0, 1.0))
+    return make_table(12, n_sats, n_stations, rows,
+                      transmitters=rng.integers(1, 3, n_sats),
+                      receivers=rng.integers(1, 3, n_stations))
+
+
+def _assert_same_schedule(got, want):
+    for name in ("slot", "sat", "station"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert list(got.key_pool.items()) == list(want.key_pool.items())
+    assert got.metadata == want.metadata
+
+
+def test_schedulers_match_reference(rng, monkeypatch):
+    """The mask schedulers serve exactly the rows the dict-based ones did.
+
+    Tables mix capacities of one and two, rounded key bits (ties and
+    zero-bit rows) and sparse visibility; the run must hit the Hall
+    fallback and serve zero-bit links for the comparison to cover them.
+    """
+    fallbacks = []
+    matching = sched.maximum_bipartite_matching
+    monkeypatch.setattr(sched, "maximum_bipartite_matching",
+                        lambda *a, **k: fallbacks.append(1) or matching(*a, **k))
+    zero_bit_served = two_capacity = 0
+    for trial in range(40):
+        table = _reference_case(rng, rounded=trial % 4 != 3)
+        two_capacity += int(table.transmitters.max() == 2 and table.receivers.max() == 2)
+        for run, reference in ((sched.run_rr, reference_run_rr),
+                               (sched.run_greedy, reference_run_greedy)):
+            got = run(table)
+            _assert_same_schedule(got, reference(table))
+            zero_bit_served += sum(v == 0 for v in got.key_pool.values())
+            targets = sched.derive_min_rates(got, table)
+            _assert_same_schedule(
+                sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
+                reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
+    assert fallbacks and zero_bit_served and two_capacity
