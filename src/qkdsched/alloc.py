@@ -33,10 +33,7 @@ from .sched import Schedule
 
 @dataclass
 class MilpInstance:
-    """Mixed-integer program: maximize c.x subject to A x <= b and bounds.
-
-    ``export_path`` records where the instance was written, when it was.
-    """
+    """Mixed-integer program: maximize c.x subject to A x <= b and bounds."""
 
     name: str
     objective: np.ndarray
@@ -47,7 +44,6 @@ class MilpInstance:
     integer: np.ndarray
     var_names: list
     row_names: list
-    export_path: str = None
 
     @property
     def n_vars(self) -> int:
@@ -110,35 +106,27 @@ def station_pairs(n_stations: int) -> list:
 class PairAllocation:
     """Integral pairwise-key assignment.
 
-    ``bits`` maps (sat, station_a, station_b) with a < b to whole key bits;
-    ``totals`` aggregates per pair. ``rounds`` records the floor value and
-    active-pair count of each fair re-solve round.
+    ``bits`` is an (n_sats, len(pairs)) int64 array: ``bits[s, u]`` whole
+    key bits for pair ``pairs[u]`` relayed by satellite s, each drawing one
+    bit from pool (s, a) and one from pool (s, b). ``rounds`` records the
+    floor value and active-pair count of each fair re-solve round.
     """
 
     pairs: list
-    bits: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=dict)
+    bits: np.ndarray
     rounds: list = field(default_factory=list)
 
-    def min_key(self) -> int:
-        if not self.pairs:
-            return 0
-        return min(self.totals.get(u, 0) for u in self.pairs)
-
-    def total_key(self) -> int:
-        return sum(self.totals.values())
+    @property
+    def totals(self) -> np.ndarray:
+        """Key bits per pair, in ``pairs`` order."""
+        return self.bits.sum(axis=0)
 
 
-def _pool_array(pools, n_sats: int, n_stations: int) -> np.ndarray:
-    """(S, G) integer pools from an array, or from a {(s, g): bits} dict."""
-    if not isinstance(pools, dict):
-        return np.asarray(pools, dtype=np.int64)
-    if n_sats is None or n_stations is None:
-        raise ValueError("pass n_sats/n_stations or an array pool")
-    arr = np.zeros((n_sats, n_stations), dtype=np.int64)
-    for (s, g), v in pools.items():
-        arr[s, g] = int(v)
-    return arr
+def joint_capacity(pools: np.ndarray, pairs: list) -> np.ndarray:
+    """(S, P) key bits pair u can draw through satellite s alone:
+    min(pools[s, a], pools[s, b]) for ``pairs[u] = (a, b)``."""
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.minimum(pools[:, ends[:, 0]], pools[:, ends[:, 1]])
 
 
 def _pair_vars(cap: np.ndarray, pairs: list) -> tuple:
@@ -147,35 +135,38 @@ def _pair_vars(cap: np.ndarray, pairs: list) -> tuple:
     ``cap`` is an (S, G) per-link capacity array. Variables run pair-major,
     then by satellite. Returns one array entry per variable: its position
     in ``pairs``, its satellite, its links (s, a) and (s, b) as ``s * G + g``,
-    and its joint capacity min(cap[s, a], cap[s, b]).
+    and its joint capacity.
     """
     n_stations = cap.shape[1]
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    joint = np.minimum(cap[:, ends[:, 0]], cap[:, ends[:, 1]]).T   # (P, S)
+    joint = joint_capacity(cap, pairs).T   # (P, S)
     pair, sat = np.nonzero(joint > 0)
     return (pair, sat, sat * n_stations + ends[pair, 0],
             sat * n_stations + ends[pair, 1], joint[pair, sat])
 
 
-def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None):
+def solve_phase2_maxmin(pools, pairs):
     """Exact max-min pairwise allocation for one round.
 
-    Returns (floor value, allocation dict). The program is the integer
-    maximization of z subject to z <= sum_s y[s, u] for every pair u and the
-    per-link pool capacities, solved to proof. Its rows are one floor row
-    per pair, then one pool row per link some variable draws on, satellite-
-    major. Among the allocations that reach the floor z*, the round keeps
-    one with the largest total: a second solve of the same program with
-    z >= z* maximises sum y. A zero floor allocates nothing.
+    ``pools`` is an (S, G) array of whole key bits per link. Returns
+    (floor value, bits), with ``bits`` an (S, len(pairs)) int64 array laid
+    out as ``PairAllocation.bits``. The program is the integer maximization
+    of z subject to z <= sum_s y[s, u] for every pair u and the per-link
+    pool capacities, solved to proof. Its rows are one floor row per pair,
+    then one pool row per link some variable draws on, satellite-major.
+    Among the allocations that reach the floor z*, the round keeps one with
+    the largest total: a second solve of the same program with z >= z*
+    maximises sum y. A zero floor allocates nothing.
     """
-    k = _pool_array(pools, n_sats, n_stations)
+    k = np.asarray(pools, dtype=np.int64)
     pairs = list(pairs)
+    bits = np.zeros((k.shape[0], len(pairs)), dtype=np.int64)
     if not pairs:
-        return 0, {}
+        return 0, bits
     pair, sat, link_a, link_b, cap = _pair_vars(k, pairs)
     pair_cap = np.bincount(pair, weights=cap, minlength=len(pairs))
     if pair_cap.min() == 0:
-        return 0, {}
+        return 0, bits
 
     n_y, n_pairs = len(pair), len(pairs)
     links, pool_row = np.unique(np.concatenate([link_a, link_b]),
@@ -203,48 +194,45 @@ def solve_phase2_maxmin(pools, pairs, n_sats: int = None, n_stations: int = None
         raise RuntimeError(f"pairwise max-min did not close: {result.status}")
     floor_value = int(round(result.objective))
     if floor_value == 0:
-        return 0, {}
+        return 0, bits
     result = branch_and_bound(replace(
         instance, name="phase2_maxsum_at_floor",
         objective=np.append(np.ones(n_y), 0.0),
         lower=np.append(np.zeros(n_y), float(floor_value))))
     if result.status != "optimal":
         raise RuntimeError(f"pairwise tie-break did not close: {result.status}")
-    bits = np.round(result.values[:n_y]).astype(np.int64).tolist()
-    return floor_value, {(s, *pairs[u]): v for u, s, v
-                         in zip(pair.tolist(), sat.tolist(), bits) if v > 0}
+    bits[sat, pair] = np.round(result.values[:n_y]).astype(np.int64)
+    return floor_value, bits
 
 
-def iterate_phase2(pools, pairs, n_sats: int = None,
-                   n_stations: int = None) -> PairAllocation:
+def iterate_phase2(pools, pairs) -> PairAllocation:
     """Fair allocation with residual re-solves.
 
-    Each round maximises the minimum incremental allocation over the pairs
-    that can still receive bits (positive joint residual capacity through
-    some satellite), then its total at that floor (``solve_phase2_maxmin``
-    gives the tie rule). Allocated bits are deducted, exhausted pairs freeze,
-    and the loop ends when no active pair remains or a round makes no
-    progress. Per-pair totals never decrease across rounds.
+    ``pools`` is an (S, G) array of whole key bits per link, as in
+    ``Schedule.key_pool``; the result's ``bits`` is (S, len(pairs)). Each
+    round maximises the minimum incremental allocation over the pairs that
+    can still receive bits (positive joint residual capacity through some
+    satellite), then its total at that floor (``solve_phase2_maxmin`` gives
+    the tie rule). Allocated bits are deducted, exhausted pairs freeze, and
+    the loop ends when no active pair remains or a round makes no progress.
+    Per-pair totals never decrease across rounds.
     """
-    resid = _pool_array(pools, n_sats, n_stations).copy()
+    resid = np.array(pools, dtype=np.int64)
     pairs = list(pairs)
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    out = PairAllocation(pairs=pairs, totals={u: 0 for u in pairs})
+    out = PairAllocation(pairs, np.zeros((resid.shape[0], len(pairs)), dtype=np.int64))
 
     while True:
-        live = (np.minimum(resid[:, ends[:, 0]], resid[:, ends[:, 1]]) > 0).any(axis=0)
-        active = [u for u, ok in zip(pairs, live.tolist()) if ok]
-        if not active:
+        live = np.flatnonzero((joint_capacity(resid, pairs) > 0).any(axis=0))
+        if not len(live):
             break
-        floor_value, alloc = solve_phase2_maxmin(resid, active)
+        floor_value, bits = solve_phase2_maxmin(resid, [pairs[u] for u in live])
         if floor_value == 0:
             break
-        for (s, a, b), v in alloc.items():
-            resid[s, a] -= v
-            resid[s, b] -= v
-            out.bits[(s, a, b)] = out.bits.get((s, a, b), 0) + v
-            out.totals[(a, b)] += v
-        out.rounds.append({"floor": floor_value, "active_pairs": len(active)})
+        out.bits[:, live] += bits
+        for end in ends[live].T:   # each pairwise bit spends one bit at both ends
+            np.subtract.at(resid, (slice(None), end), bits)
+        out.rounds.append({"floor": floor_value, "active_pairs": len(live)})
 
     return out
 
@@ -358,42 +346,37 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
     Otherwise HiGHS (see ``branch_and_bound``) runs under the node budget;
     exhausting it yields the incumbent (possibly empty) plus the gap. The
     schedule is the estimate rows whose x is 1, the allocation the y values
-    read back in ``_pair_vars`` order.
+    read back into an (S, len(pairs)) ``PairAllocation.bits`` array.
     """
     if pairs is None:
         pairs = station_pairs(estimates.n_stations)
     pairs = list(pairs)
     instance = build_baseline_instance(estimates, objective, pairs)
     chosen = np.zeros(len(estimates), dtype=bool)
+    bits = np.zeros((estimates.n_sats, len(pairs)), dtype=np.int64)
     if export_path is not None:
         export_lp(instance, export_path)
-        instance.export_path = str(export_path)
         if not max_nodes:
             return BaselineResult(
                 schedule=Schedule.from_mask(estimates, chosen, {
                     "scheduler": objective, "exported": True}),
-                allocation=PairAllocation(pairs=pairs),
+                allocation=PairAllocation(pairs, bits),
                 milp=MilpResult(status="exported"), instance=instance)
 
     result = branch_and_bound(instance, max_nodes=max_nodes)
     if result.status == "infeasible":
         raise RuntimeError("baseline program infeasible; inputs inconsistent")
-    alloc = PairAllocation(pairs=pairs, totals={u: 0 for u in pairs})
     if result.values is not None:  # else the budget ran out before any integer point
         chosen = result.values[:len(estimates)] > 0.5
         pair, sat, _, _, _ = _pair_vars(_link_capacity(estimates), pairs)
         y = result.values[len(estimates):len(estimates) + len(pair)]
-        for u, s, v in zip(pair.tolist(), sat.tolist(),
-                           np.round(y).astype(np.int64).tolist()):
-            if v > 0:
-                alloc.bits[(s, *pairs[u])] = v
-                alloc.totals[pairs[u]] += v
+        bits[sat, pair] = np.round(y).astype(np.int64)
     schedule = Schedule.from_mask(estimates, chosen, {
         "scheduler": objective, "milp_status": result.status,
         "milp_gap": float(result.gap) if np.isfinite(result.gap) else None,
         "milp_nodes": result.nodes})
-    return BaselineResult(schedule=schedule, allocation=alloc, milp=result,
-                          instance=instance)
+    return BaselineResult(schedule=schedule, allocation=PairAllocation(pairs, bits),
+                          milp=result, instance=instance)
 
 
 # ------------------------------------------------------------------ LP export

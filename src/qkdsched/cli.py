@@ -238,8 +238,7 @@ def _execute(name, table, pairs, args, sub):
                                      max_passes=args.max_passes, tol=args.tol)
         schedule.metadata["scheduler"] = name
         schedule.metadata["targets_from"] = base_name
-    allocation = iterate_phase2(schedule.key_pool, pairs,
-                                table.n_sats, table.n_stations)
+    allocation = iterate_phase2(schedule.key_pool, pairs)
     return schedule, allocation
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alloc import joint_capacity
+
 
 @dataclass
 class RunReport:
@@ -56,37 +58,26 @@ class RunReport:
         }
 
 
-def joint_capacity(key_pool: dict, pairs) -> dict:
-    """Per-pair key bits reachable through any single satellite."""
-    by_sat: dict = {}
-    for (s, g), v in key_pool.items():
-        by_sat.setdefault(s, {})[g] = int(v)
-    out = {}
-    for (a, b) in pairs:
-        out[(a, b)] = sum(min(link.get(a, 0), link.get(b, 0))
-                          for link in by_sat.values())
-    return out
-
-
 def summarize(schedule, allocation, scheduler: str = None) -> RunReport:
     """Collapse a schedule and its pairwise allocation into one report.
 
-    A pair without joint capacity in the pooled keys never had a chance at
-    this schedule; it is listed as excluded and kept out of the min, which
-    otherwise would pin every report at zero.
+    A pair without joint capacity in the pooled keys (through any single
+    satellite) never had a chance at this schedule; it is listed as
+    excluded and kept out of the min, which otherwise would pin every
+    report at zero.
     """
-    caps = joint_capacity(schedule.key_pool, allocation.pairs)
-    excluded = [u for u in allocation.pairs if caps[u] == 0]
-    active = [u for u in allocation.pairs if caps[u] > 0]
-    totals = {u: int(allocation.totals.get(u, 0)) for u in allocation.pairs}
+    pairs = allocation.pairs
+    reachable = (joint_capacity(schedule.key_pool, pairs) > 0).any(axis=0).tolist()
+    totals = allocation.totals.tolist()
     return RunReport(
         scheduler=scheduler or schedule.metadata.get("scheduler", "unknown"),
         n_slots=schedule.n_slots, n_sats=schedule.n_sats,
         n_stations=schedule.n_stations, served=int(len(schedule.slot)),
-        pool_total=int(sum(schedule.key_pool.values())),
-        pair_totals=totals, excluded_pairs=excluded,
-        min_key=min((totals[u] for u in active), default=0),
-        total_key=sum(totals.values()),
+        pool_total=int(schedule.key_pool.sum()),
+        pair_totals=dict(zip(pairs, totals)),
+        excluded_pairs=[u for u, ok in zip(pairs, reachable) if not ok],
+        min_key=min((v for v, ok in zip(totals, reachable) if ok), default=0),
+        total_key=sum(totals),
         rounds=list(allocation.rounds),
         metadata=dict(schedule.metadata),
     )
@@ -140,29 +131,37 @@ def write_histograms_csv(path, histograms: dict) -> None:
                 writer.writerow([view, k, histograms[view][k]])
 
 
-def write_schedule_csv(path, schedule, estimates) -> None:
-    """Served triples with raw identifiers, one row per decision."""
-    sat_of, g_of = estimates.sat_ids, estimates.station_ids
+def _write_rows(path, header, columns) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["slot", "satellite_id", "station_id"])
-        for t, s, g in zip(schedule.slot, schedule.sat, schedule.station):
-            writer.writerow([int(t), int(sat_of[s]), int(g_of[g])])
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
+
+
+def write_schedule_csv(path, schedule, estimates) -> None:
+    """Served triples with raw identifiers, one row per decision."""
+    _write_rows(path, ["slot", "satellite_id", "station_id"],
+                [schedule.slot, estimates.sat_ids[schedule.sat],
+                 estimates.station_ids[schedule.station]])
 
 
 def write_pools_csv(path, schedule, estimates) -> None:
-    sat_of, g_of = estimates.sat_ids, estimates.station_ids
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["satellite_id", "station_id", "key_bits"])
-        for (s, g), v in sorted(schedule.key_pool.items()):
-            writer.writerow([int(sat_of[s]), int(g_of[g]), int(v)])
+    """Whole key bits of every link served at least once, a zero-bit one
+    included, in (satellite, station) index order."""
+    links = np.unique(schedule.sat * schedule.n_stations + schedule.station)
+    s, g = np.divmod(links, schedule.n_stations)
+    _write_rows(path, ["satellite_id", "station_id", "key_bits"],
+                [estimates.sat_ids[s], estimates.station_ids[g],
+                 schedule.key_pool[s, g]])
 
 
 def write_allocation_csv(path, allocation, estimates) -> None:
-    sat_of, g_of = estimates.sat_ids, estimates.station_ids
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["satellite_id", "station_a", "station_b", "key_bits"])
-        for (s, a, b), v in sorted(allocation.bits.items()):
-            writer.writerow([int(sat_of[s]), int(g_of[a]), int(g_of[b]), int(v)])
+    """Positive pairwise bits in (satellite, station a, station b) index order."""
+    ends = np.asarray(allocation.pairs, dtype=np.int64).reshape(-1, 2)
+    s, u = np.nonzero(allocation.bits)
+    order = np.lexsort((ends[u, 1], ends[u, 0], s))
+    s, u = s[order], u[order]
+    g_of = estimates.station_ids
+    _write_rows(path, ["satellite_id", "station_a", "station_b", "key_bits"],
+                [estimates.sat_ids[s], g_of[ends[u, 0]], g_of[ends[u, 1]],
+                 allocation.bits[s, u]])

@@ -31,10 +31,10 @@ class Schedule:
     """Service decisions plus the per-link key pools they imply.
 
     ``slot``/``sat``/``station`` are the served estimate rows in table
-    order. ``key_pool`` maps (sat index, station index), for every link
-    served at least once, to whole key bits: the floor of the summed
-    per-slot key bits of the served slots. Flooring happens here once, not
-    per slot.
+    order. ``key_pool`` is an (n_sats, n_stations) int64 array of whole key
+    bits per link: the floor of the summed per-slot key bits of the served
+    slots, zero for a link never served. Flooring happens here once, not
+    per slot. The links served at least once are the (sat, station) rows.
     """
 
     n_slots: int
@@ -43,7 +43,7 @@ class Schedule:
     slot: np.ndarray
     sat: np.ndarray
     station: np.ndarray
-    key_pool: dict
+    key_pool: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -54,18 +54,14 @@ class Schedule:
                   metadata: dict) -> "Schedule":
         """Schedule serving the estimate rows where ``served`` is True."""
         served = np.asarray(served, dtype=bool)
-        g = estimates.n_stations
-        link = _links(estimates)[served]
+        shape = (estimates.n_sats, estimates.n_stations)
         # bincount adds in row order, the order the pools have always summed in
-        raw = np.bincount(link, weights=estimates.key_bits[served],
-                          minlength=estimates.n_sats * g)
-        links = np.unique(link)
-        pools = np.floor(raw[links]).astype(np.int64)
+        raw = np.bincount(_links(estimates)[served], weights=estimates.key_bits[served],
+                          minlength=shape[0] * shape[1])
         slot, sat, station = (np.asarray(a[served], dtype=np.int64) for a in
                               (estimates.slot, estimates.sat, estimates.station))
-        return cls(estimates.n_slots, estimates.n_sats, g, slot, sat, station,
-                   {divmod(k, g): v for k, v in zip(links.tolist(), pools.tolist())},
-                   metadata)
+        return cls(estimates.n_slots, *shape, slot, sat, station,
+                   np.floor(raw).astype(np.int64).reshape(shape), metadata)
 
 
 @dataclass
@@ -189,12 +185,10 @@ def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> MinRatePro
     count, then scaled by the global normaliser so it is comparable with
     the opportunistic utilities.
     """
-    tau = estimates.tau()
+    tau = estimates.tau()[:, None]
     norm = estimates.normalizer
-    rates = np.zeros((estimates.n_sats, estimates.n_stations))
-    for (s, g), bits in schedule.key_pool.items():
-        if tau[s] > 0:
-            rates[s, g] = bits / float(tau[s]) / norm
+    rates = np.divide(schedule.key_pool, tau, out=np.zeros(schedule.key_pool.shape),
+                      where=tau > 0) / norm
     return MinRateProfile(rates=rates, normalizer=norm)
 
 
@@ -213,6 +207,8 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
     link = _links(estimates)
     target = targets.rates.ravel()
     lam = np.zeros(estimates.n_sats * estimates.n_stations)
@@ -220,9 +216,7 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     lo, hi = estimates.slot_spans()
     spans = list(zip(lo.tolist(), hi.tolist()))
     converged = False
-    passes = 0
-    served = np.zeros(len(estimates), dtype=bool)
-    for _ in range(max_passes):
+    for passes in range(1, max_passes + 1):
         lam_start = lam.copy()
         served = np.zeros(len(estimates), dtype=bool)
         for a, b in spans:
@@ -233,7 +227,6 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
             u, r = bits / norm, target[l]
             lam[l] = np.maximum(0.0, np.where(served[a:b], lam[l] - delta * (u - r),
                                               lam[l] + delta * r))
-        passes += 1
         if float(np.abs(lam - lam_start).max(initial=0.0)) < tol:
             converged = True
             break

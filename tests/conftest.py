@@ -5,8 +5,9 @@ force permutation scans for the assignment solver, depth-first search with
 capacity pruning for the pairwise-key program, plain bisection for the
 key-rate zero crossing, scalar per-triple geometry for the visibility scan,
 loop-by-loop builders of the integer programs that the library assembles
-from index arrays, and dict-based Phase-1 schedulers for the array ones.
-They are slow and only meant for desk-scale cross checks.
+from index arrays, dict-based Phase-1 schedulers for the array ones, and
+a dict-based joint-capacity sum for the array helper. They are slow and
+only meant for desk-scale cross checks.
 """
 
 import itertools
@@ -150,6 +151,22 @@ def phase2_bruteforce_maxsum(pools, pairs):
     return best
 
 
+def reference_joint_capacity(key_pool: dict, pairs) -> dict:
+    """Per-pair key bits reachable through any single satellite.
+
+    ``key_pool`` maps (sat, station) to bits; a link absent from it holds
+    none. Sums min(pool[s, a], pool[s, b]) satellite by satellite.
+    """
+    by_sat: dict = {}
+    for (s, g), v in key_pool.items():
+        by_sat.setdefault(s, {})[g] = int(v)
+    out = {}
+    for (a, b) in pairs:
+        out[(a, b)] = sum(min(link.get(a, 0), link.get(b, 0))
+                          for link in by_sat.values())
+    return out
+
+
 def check_schedule(schedule, estimates):
     """Independent feasibility audit of a schedule against its estimates.
 
@@ -180,8 +197,11 @@ def check_schedule(schedule, estimates):
     for t, s, g in zip(schedule.slot.tolist(), schedule.sat.tolist(),
                        schedule.station.tolist()):
         bits[(s, g)] = bits.get((s, g), 0.0) + lookup[(t, s, g)]
-    expect = {k: int(np.floor(v)) for k, v in bits.items()}
-    assert schedule.key_pool == expect, "pool accounting mismatch"
+    expect = np.zeros((estimates.n_sats, estimates.n_stations), dtype=np.int64)
+    for (s, g), v in bits.items():
+        expect[s, g] = int(np.floor(v))
+    assert schedule.key_pool.dtype == np.int64
+    assert np.array_equal(schedule.key_pool, expect), "pool accounting mismatch"
 
 
 def reference_propagate(raan_deg, anomaly_deg, altitude_km, t):
@@ -484,13 +504,15 @@ def _reference_schedule(entries, estimates, metadata):
     raw = {}
     for t, s, g in entries:
         raw[(s, g)] = raw.get((s, g), 0.0) + lookup[(t, s, g)]
+    key_pool = np.zeros((estimates.n_sats, estimates.n_stations), dtype=np.int64)
+    for (s, g), v in raw.items():
+        key_pool[s, g] = int(np.floor(v))
     arr = np.array(entries, dtype=np.int64).reshape(-1, 3)
     return Schedule(
         n_slots=estimates.n_slots, n_sats=estimates.n_sats,
         n_stations=estimates.n_stations,
         slot=arr[:, 0], sat=arr[:, 1], station=arr[:, 2],
-        key_pool={k: int(np.floor(v)) for k, v in sorted(raw.items())},
-        metadata=metadata,
+        key_pool=key_pool, metadata=metadata,
     )
 
 

@@ -12,6 +12,7 @@ from qkdsched.alloc import (
     build_baseline_instance,
     export_lp,
     iterate_phase2,
+    joint_capacity,
     solve_baseline,
     solve_phase2_maxmin,
     station_pairs,
@@ -26,23 +27,57 @@ from conftest import (
     phase2_bruteforce_maxsum,
     random_table,
     reference_baseline_instance,
+    reference_joint_capacity,
     reference_phase2_instance,
 )
 
 
-def _check_allocation(pools, pairs, floor_value, alloc):
+def _loads(bits, pairs, shape):
+    """Pool bits spent per link: each pairwise bit takes one at both ends."""
+    loads = np.zeros(shape, dtype=np.int64)
+    for s in range(shape[0]):
+        for u, (a, b) in enumerate(pairs):
+            loads[s, a] += bits[s, u]
+            loads[s, b] += bits[s, u]
+    return loads
+
+
+def _check_allocation(pools, pairs, floor_value, bits):
     """Independent audit: loads within pools, min over pairs equals floor."""
     pools = np.asarray(pools)
-    loads = np.zeros_like(pools)
-    totals = {u: 0 for u in pairs}
-    for (s, a, b), v in alloc.items():
-        assert v > 0
-        assert (a, b) in totals
-        loads[s, a] += v
-        loads[s, b] += v
-        totals[(a, b)] += v
-    assert np.all(loads <= pools)
-    assert min(totals.values()) == floor_value
+    assert bits.dtype == np.int64 and bits.shape == (pools.shape[0], len(pairs))
+    assert np.all(bits >= 0)
+    assert np.all(_loads(bits, pairs, pools.shape) <= pools)
+    assert min(bits[:, u].sum() for u in range(len(pairs))) == floor_value
+
+
+# ---------------------------------------------------------- joint capacity
+
+def test_joint_capacity_matches_reference(rng):
+    cases = []
+    for trial in range(30):
+        n_sats, n_stations = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        pools = rng.integers(0, 9, size=(n_sats, n_stations))
+        pools[rng.random(pools.shape) < 0.3] = 0
+        if trial % 3 == 0:   # a satellite that served no link
+            pools[int(rng.integers(n_sats))] = 0
+        pairs = _pair_list(n_stations)
+        if trial % 2:        # reversed pair order, and b before a in each pair
+            pairs = [(b, a) for a, b in pairs[::-1]]
+        cases.append((pools, pairs))
+    cases.append((np.zeros((2, 3), dtype=np.int64), _pair_list(3)))
+    empty_sats = 0
+    for pools, pairs in cases:
+        # the dict form lists served links only: some zero-bit links, never
+        # one of a satellite that served nothing
+        served = {(s, g): int(v) for (s, g), v in np.ndenumerate(pools)
+                  if pools[s].any() and (v > 0 or (s + g) % 2 == 0)}
+        empty_sats += sum(s not in {k[0] for k in served} for s in range(len(pools)))
+        want = reference_joint_capacity(served, pairs)
+        got = joint_capacity(pools, pairs)
+        assert got.shape == (len(pools), len(pairs))
+        assert got.sum(axis=0).tolist() == [want[u] for u in pairs]
+    assert empty_sats >= 10
 
 
 # ------------------------------------------------------------- single round
@@ -51,7 +86,7 @@ def test_maxmin_single_pair():
     pools = np.array([[7, 5, 0]])
     floor_value, alloc = solve_phase2_maxmin(pools, [(0, 1)])
     assert floor_value == 5
-    assert alloc == {(0, 0, 1): 5}
+    assert alloc.tolist() == [[5]]
 
 
 def test_maxmin_zero_capacity_pair_pins_floor():
@@ -59,7 +94,7 @@ def test_maxmin_zero_capacity_pair_pins_floor():
     pools = np.array([[10, 10, 0]])
     floor_value, alloc = solve_phase2_maxmin(pools, _pair_list(3))
     assert floor_value == 0
-    assert alloc == {}
+    assert alloc.shape == (1, 3) and not alloc.any()
 
 
 def test_maxmin_shared_endpoint_bottleneck():
@@ -108,11 +143,14 @@ def test_maxmin_deterministic(rng):
     pairs = _pair_list(4)
     first = solve_phase2_maxmin(pools, pairs)
     second = solve_phase2_maxmin(pools, pairs)
-    assert first == second
+    assert first[0] == second[0]
+    assert np.array_equal(first[1], second[1])
 
 
 def test_maxmin_empty_pairs():
-    assert solve_phase2_maxmin(np.array([[5]]), []) == (0, {})
+    floor_value, alloc = solve_phase2_maxmin(np.array([[5]]), [])
+    assert floor_value == 0
+    assert alloc.shape == (1, 0)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 9, 10_000_001])
@@ -133,10 +171,10 @@ def test_maxmin_symmetric_triple_halves_each_pool(c):
 def test_iterate_single_live_pair_gets_everything():
     pools = np.array([[10, 10, 0]])
     out = iterate_phase2(pools, _pair_list(3))
-    assert out.totals == {(0, 1): 10, (0, 2): 0, (1, 2): 0}
+    assert out.totals.tolist() == [10, 0, 0]
     assert out.rounds == [{"floor": 10, "active_pairs": 1}]
-    assert out.min_key() == 0
-    assert out.total_key() == 10
+    assert out.totals.min() == 0
+    assert out.totals.sum() == 10
 
 
 def test_iterate_surplus_beyond_fair_floor():
@@ -145,11 +183,11 @@ def test_iterate_surplus_beyond_fair_floor():
     pools = np.array([[10, 10, 2]])
     pairs = _pair_list(3)
     out = iterate_phase2(pools, pairs)
-    assert out.min_key() == 1
-    assert out.min_key() == phase2_bruteforce_maxmin(pools, pairs)
-    assert out.totals[(0, 2)] == 1 and out.totals[(1, 2)] == 1
-    assert out.total_key() == 11
-    assert out.total_key() > len(pairs) * out.min_key()
+    assert out.totals.min() == 1
+    assert out.totals.min() == phase2_bruteforce_maxmin(pools, pairs)
+    assert out.totals[pairs.index((0, 2))] == 1 and out.totals[pairs.index((1, 2))] == 1
+    assert out.totals.sum() == 11
+    assert out.totals.sum() > len(pairs) * out.totals.min()
 
 
 def test_iterate_stops_at_zero_progress():
@@ -160,8 +198,8 @@ def test_iterate_stops_at_zero_progress():
     pairs = _pair_list(3)
     out = iterate_phase2(pools, pairs)
     assert out.rounds == [{"floor": 2, "active_pairs": 3}]
-    assert tuple(sorted(out.totals.values())) == (2, 2, 3)
-    assert tuple(sorted(out.totals.values())) == _lex_maxmin_oracle(pools, pairs)
+    assert tuple(sorted(out.totals.tolist())) == (2, 2, 3)
+    assert tuple(sorted(out.totals.tolist())) == _lex_maxmin_oracle(pools, pairs)
 
 
 def test_iterate_totals_cover_first_floor(rng):
@@ -184,19 +222,15 @@ def test_iterate_totals_cover_first_floor(rng):
             assert out.rounds == []
             continue
         assert out.rounds[0]["floor"] == first
-        assert min(out.totals[u] for u in live) == first
+        assert min(out.totals[pairs.index(u)] for u in live) == first
 
 
 def test_iterate_respects_pool_budgets(rng):
     for _ in range(20):
         pools = rng.integers(0, 12, size=(2, 4))
         out = iterate_phase2(pools, _pair_list(4))
-        loads = np.zeros_like(pools)
-        for (s, a, b), v in out.bits.items():
-            loads[s, a] += v
-            loads[s, b] += v
-        assert np.all(loads <= pools)
-        assert out.total_key() == sum(out.totals.values())
+        assert np.all(_loads(out.bits, out.pairs, pools.shape) <= pools)
+        assert out.totals.sum() == out.bits.sum()
 
 
 def _lex_maxmin_oracle(pools, pairs):
@@ -239,7 +273,7 @@ def test_iterate_profile_versus_lexicographic_oracle(rng):
         pairs = _pair_list(3)
         oracle = _lex_maxmin_oracle(pools, pairs)
         out = iterate_phase2(pools, pairs)
-        mine = tuple(sorted(out.totals[u] for u in pairs))
+        mine = tuple(sorted(out.totals.tolist()))
         assert mine[0] == oracle[0]
         assert mine <= oracle
         matches += mine == oracle
@@ -309,20 +343,15 @@ def test_baseline_matches_joint_bruteforce(rng):
         got_min = solve_baseline(table, "maxmin")
         got_sum = solve_baseline(table, "maxsum")
         assert got_min.milp.status == "optimal"
-        assert got_min.allocation.min_key() == want_min, f"trial {trial}"
-        assert got_sum.allocation.total_key() == want_sum, f"trial {trial}"
+        assert got_min.allocation.totals.min() == want_min, f"trial {trial}"
+        assert got_sum.allocation.totals.sum() == want_sum, f"trial {trial}"
 
 
 def test_baseline_allocation_consistent_with_schedule(rng):
     table = random_table(rng, n_slots=6, n_sats=2, n_stations=3, scale=6.0)
     result = solve_baseline(table, "maxmin")
-    pools = np.zeros((table.n_sats, table.n_stations), dtype=int)
-    for (s, g), v in result.schedule.key_pool.items():
-        pools[s, g] = v
-    loads = np.zeros_like(pools)
-    for (s, a, b), v in result.allocation.bits.items():
-        loads[s, a] += v
-        loads[s, b] += v
+    pools = result.schedule.key_pool
+    loads = _loads(result.allocation.bits, result.allocation.pairs, pools.shape)
     assert np.all(loads <= pools)
     assert result.milp.gap == 0.0
 
@@ -336,8 +365,8 @@ def test_baseline_budget_exhausted_reports_honestly(rng):
     assert starved.milp.objective is None
     assert np.isinf(starved.milp.gap)
     assert len(starved.schedule.slot) == 0
-    assert starved.schedule.key_pool == {}
-    assert all(v == 0 for v in starved.allocation.totals.values())
+    assert not starved.schedule.key_pool.any()
+    assert not starved.allocation.totals.any()
     assert starved.schedule.metadata["milp_status"] == "budget_exceeded"
     assert starved.schedule.metadata["milp_gap"] is None
     full = solve_baseline(table, "maxmin")
@@ -358,7 +387,7 @@ def test_baseline_deterministic(rng):
     assert np.array_equal(a.schedule.slot, b.schedule.slot)
     assert np.array_equal(a.schedule.sat, b.schedule.sat)
     assert np.array_equal(a.schedule.station, b.schedule.station)
-    assert a.allocation.bits == b.allocation.bits
+    assert np.array_equal(a.allocation.bits, b.allocation.bits)
 
 
 def test_maxsum_serves_dominant_link_every_feasible_slot():
@@ -374,7 +403,7 @@ def test_maxsum_serves_dominant_link_every_feasible_slot():
     served = set(zip(result.schedule.slot.tolist(),
                      result.schedule.station.tolist()))
     assert {(1, 0), (3, 0), (5, 0)} <= served
-    assert result.allocation.totals[(0, 1)] == 30
+    assert result.allocation.totals[result.allocation.pairs.index((0, 1))] == 30
 
 
 def test_baseline_upper_bounds_heuristics(rng):
@@ -382,12 +411,12 @@ def test_baseline_upper_bounds_heuristics(rng):
     for _ in range(5):
         table = random_table(rng, n_slots=6, n_sats=2, n_stations=3, scale=6.0)
         pairs = station_pairs(3)
-        heur = iterate_phase2(run_greedy(table).key_pool, pairs, 2, 3)
+        heur = iterate_phase2(run_greedy(table).key_pool, pairs)
         maxmin = solve_baseline(table, "maxmin", pairs=pairs)
         maxsum = solve_baseline(table, "maxsum", pairs=pairs)
         assert maxmin.milp.status == maxsum.milp.status == "optimal"
-        assert maxmin.allocation.min_key() >= heur.min_key()
-        assert maxsum.allocation.total_key() >= heur.total_key()
+        assert maxmin.allocation.totals.min() >= heur.totals.min()
+        assert maxsum.allocation.totals.sum() >= heur.totals.sum()
 
 
 # ---------------------------------------------------------------- LP export

@@ -1,7 +1,9 @@
 """End-to-end command line behaviour and artifact determinism."""
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +167,17 @@ def test_run_rejects_duplicate_table_rows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_pass_budget_below_one(tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "synth_golden.csv"
+    rc = main(["run", "--table", str(golden), "--schedulers", "op-rr",
+               "--max-passes", "0", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input:")
+    assert "max_passes" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _clouded_scenario(tmp_path):
     """Two-satellite scenario with equatorial stations under the t=0 pass."""
     body = """
@@ -276,9 +289,28 @@ def test_toy_maxmin_closes_within_default_budget(tmp_path):
     assert report["min_key"] > 0
 
 
+def test_toy_artifacts_match_digests(tmp_path):
+    # the README toy command must keep writing the same bytes; the digests
+    # in data/toy_artifacts.json were recorded from a known-good run
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(scenarios / "toy_equator.ini"),
+               "--clouds", str(scenarios / "clouds_sample.csv"),
+               "--schedulers", "rr,greedy,op-rr,op-greedy", "--out", str(out)])
+    assert rc == 0
+    want = json.loads((Path(__file__).parent / "data" / "toy_artifacts.json").read_text())
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in _tree(out).items() if name != "run_config.json"}
+    assert got == want
+
+
 def test_module_entry_point_help():
+    # the subprocess does not inherit pytest's pythonpath, so hand it src/
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "qkdsched.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "synth" in proc.stdout
 

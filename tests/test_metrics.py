@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 
-from qkdsched.alloc import PairAllocation, iterate_phase2, station_pairs
+from qkdsched.alloc import PairAllocation, iterate_phase2, joint_capacity, station_pairs
 from qkdsched.metrics import (
     choice_histograms,
-    joint_capacity,
     summarize,
+    write_allocation_csv,
     write_comparison_csv,
+    write_pools_csv,
     write_report_json,
 )
 from qkdsched.sched import Schedule
@@ -28,15 +29,16 @@ def _schedule(key_pool, n_sats=1, n_stations=3, metadata=None):
 
 
 def test_joint_capacity_by_satellite():
-    pool = {(0, 0): 5, (0, 1): 3, (1, 0): 2, (1, 2): 4}
+    pool = np.array([[5, 3, 0], [2, 0, 4]])
     caps = joint_capacity(pool, station_pairs(3))
-    assert caps == {(0, 1): 3, (0, 2): 2, (1, 2): 0}
+    assert caps.tolist() == [[3, 0, 0], [0, 2, 0]]
+    assert caps.sum(axis=0).tolist() == [3, 2, 0]
 
 
 def test_summarize_excludes_unreachable_pairs():
-    pool = {(0, 0): 5, (0, 1): 3}
+    pool = np.array([[5, 3, 0]])
     schedule = _schedule(pool)
-    alloc = iterate_phase2(pool, station_pairs(3), n_sats=1, n_stations=3)
+    alloc = iterate_phase2(pool, station_pairs(3))
     report = summarize(schedule, alloc)
     assert report.excluded_pairs == [(0, 2), (1, 2)]
     assert report.min_key == 3          # min over the one reachable pair
@@ -46,9 +48,8 @@ def test_summarize_excludes_unreachable_pairs():
 
 
 def test_summarize_all_pairs_dead():
-    schedule = _schedule({(0, 0): 7})
-    alloc = PairAllocation(pairs=station_pairs(3),
-                           totals={u: 0 for u in station_pairs(3)})
+    schedule = _schedule(np.array([[7, 0, 0]]))
+    alloc = PairAllocation(pairs=station_pairs(3), bits=np.zeros((1, 3), dtype=np.int64))
     report = summarize(schedule, alloc)
     assert report.min_key == 0
     assert len(report.excluded_pairs) == 3
@@ -66,9 +67,9 @@ def test_choice_histograms_hand_count():
 
 
 def test_report_json_deterministic(tmp_path):
-    pool = {(0, 0): 5, (0, 1): 3}
+    pool = np.array([[5, 3, 0]])
     schedule = _schedule(pool, metadata={"scheduler": "rr", "passes": 2})
-    alloc = iterate_phase2(pool, station_pairs(3), n_sats=1, n_stations=3)
+    alloc = iterate_phase2(pool, station_pairs(3))
     report = summarize(schedule, alloc)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     write_report_json(first, report, station_ids=[10, 11, 12])
@@ -82,9 +83,9 @@ def test_report_json_deterministic(tmp_path):
 
 
 def test_comparison_csv_rows(tmp_path):
-    pool = {(0, 0): 5, (0, 1): 3}
+    pool = np.array([[5, 3, 0]])
     schedule = _schedule(pool)
-    alloc = iterate_phase2(pool, station_pairs(3), n_sats=1, n_stations=3)
+    alloc = iterate_phase2(pool, station_pairs(3))
     reports = [summarize(schedule, alloc, scheduler=name)
                for name in ("rr", "greedy")]
     path = tmp_path / "comparison.csv"
@@ -93,3 +94,29 @@ def test_comparison_csv_rows(tmp_path):
     assert lines[0] == "scheduler,served,pool_total,min_key,total_key,excluded_pairs"
     assert lines[1] == "rr,0,8,3,3,2"
     assert lines[2] == "greedy,0,8,3,3,2"
+
+
+def test_pools_csv_lists_every_served_link(tmp_path):
+    # a served zero-bit link keeps its row; a link never served has none,
+    # even where the table offers it bits
+    table = make_table(2, 2, 2, [(0, 0, 0, 3.5), (0, 1, 1, 0.0), (1, 0, 1, 2.0)])
+    table.sat_ids, table.station_ids = np.array([7, 9]), np.array([20, 30])
+    schedule = Schedule.from_mask(table, np.array([True, True, False]), {})
+    path = tmp_path / "pools.csv"
+    write_pools_csv(path, schedule, table)
+    assert path.read_text().splitlines() == [
+        "satellite_id,station_id,key_bits", "7,20,3", "9,30,0"]
+
+
+def test_allocation_csv_rows_in_index_order(tmp_path):
+    # rows follow (satellite, station a, station b) whatever the pair order;
+    # zero entries are left out
+    table = make_table(1, 2, 3, [(0, 0, 0, 1.0)])
+    table.station_ids = np.array([10, 11, 12])
+    alloc = PairAllocation(pairs=[(1, 2), (0, 2), (0, 1)],
+                           bits=np.array([[4, 0, 2], [0, 5, 1]]))
+    path = tmp_path / "allocation.csv"
+    write_allocation_csv(path, alloc, table)
+    assert path.read_text().splitlines() == [
+        "satellite_id,station_a,station_b,key_bits",
+        "0,10,11,2", "0,11,12,4", "1,10,11,1", "1,10,12,5"]

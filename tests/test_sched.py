@@ -20,7 +20,8 @@ def test_pools_floor_once():
     # served zero-bit link still gets its (empty) pool
     table = make_table(2, 2, 1, [(0, 0, 0, 10.5), (1, 0, 0, 10.5), (1, 1, 0, 0.0)])
     out = sched.Schedule.from_mask(table, np.array([True, True, True]), {})
-    assert out.key_pool == {(0, 0): 21, (1, 0): 0}
+    assert out.key_pool.dtype == np.int64
+    assert out.key_pool.tolist() == [[21], [0]]
     assert list(zip(out.slot.tolist(), out.sat.tolist())) == [(0, 0), (1, 0), (1, 1)]
 
 
@@ -39,7 +40,7 @@ def test_rr_two_by_two_alternates():
     # slot 1 must rotate to the opposite pairing
     assert (1, 1, 0) in served and (1, 0, 1) in served
     # over four slots every link is served exactly twice
-    assert out.key_pool == {(0, 0): 2, (0, 1): 2, (1, 0): 2, (1, 1): 2}
+    assert out.key_pool.tolist() == [[2, 2], [2, 2]]
 
 
 def test_rr_direct_pass_single_edge_slots():
@@ -109,7 +110,7 @@ def test_derive_min_rates_hand_value():
     table = make_table(3, 1, 2, [(0, 0, 0, 10.5), (1, 0, 0, 10.5), (2, 0, 1, 4.0)])
     schedule = sched.run_greedy(table)
     # greedy serves (0,0) in slots 0 and 1, (0,1) in slot 2
-    assert schedule.key_pool == {(0, 0): 21, (0, 1): 4}
+    assert schedule.key_pool.tolist() == [[21, 4]]
     prof = sched.derive_min_rates(schedule, table)
     # tau = 3 usable slots, normalizer = 10.5
     assert prof.normalizer == 10.5
@@ -181,6 +182,15 @@ def test_opportunistic_nonconvergence_reported_not_fatal(rng):
     assert out.metadata["passes"] == 3
 
 
+@pytest.mark.parametrize("max_passes", [0, -1])
+def test_opportunistic_rejects_pass_budget_below_one(max_passes):
+    # no pass means no schedule; an empty one must not pass for an answer
+    table = _full_table(2, 1, 2, lambda t, s, g: 1.0)
+    targets = sched.derive_min_rates(sched.run_rr(table), table)
+    with pytest.raises(ValueError, match="max_passes"):
+        sched.run_opportunistic(table, targets, max_passes=max_passes)
+
+
 # ---------------------------------------------------------------- structure
 
 def test_hall_violation_falls_back_to_max_matching():
@@ -224,7 +234,7 @@ def test_rr_deterministic_across_runs(rng):
     assert np.array_equal(a.slot, b.slot)
     assert np.array_equal(a.sat, b.sat)
     assert np.array_equal(a.station, b.station)
-    assert a.key_pool == b.key_pool
+    assert np.array_equal(a.key_pool, b.key_pool)
 
 
 def _reference_case(rng, rounded):
@@ -248,7 +258,8 @@ def _assert_same_schedule(got, want):
     for name in ("slot", "sat", "station"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert list(got.key_pool.items()) == list(want.key_pool.items())
+    assert got.key_pool.dtype == want.key_pool.dtype
+    assert np.array_equal(got.key_pool, want.key_pool)
     assert got.metadata == want.metadata
 
 
@@ -271,7 +282,7 @@ def test_schedulers_match_reference(rng, monkeypatch):
                                (sched.run_greedy, reference_run_greedy)):
             got = run(table)
             _assert_same_schedule(got, reference(table))
-            zero_bit_served += sum(v == 0 for v in got.key_pool.values())
+            zero_bit_served += int((got.key_pool[got.sat, got.station] == 0).sum())
             targets = sched.derive_min_rates(got, table)
             _assert_same_schedule(
                 sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
