@@ -5,10 +5,23 @@ and refines its answer so that among all optimal assignments the returned
 one is lexicographically smallest in column index, row by row. Forbidden
 pairs are carried as an explicit boolean mask, never as large sentinel
 costs, so the weights stay numerically clean.
+
+The refinement needs one solve. Column potentials taken from the residual
+graph of the optimal map give every feasible edge a nonnegative reduced
+cost, zero on the map, and the excess of any assignment over the optimum
+is a sum of such reduced costs (complementary slackness for the assignment
+LP; Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009,
+ch. 4). Rows are then fixed in order: each takes the smallest column whose
+cheapest completion stays within the tie tolerance, and each candidate is
+priced by one shortest alternating path over the reduced costs instead of
+a re-solve. When no smaller column has a reduced cost within tolerance,
+which is the usual case for float weights, the solver's map is returned as
+it is.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,24 +61,22 @@ class WeightMatrix:
             raise ValueError("non-finite weight on a feasible edge")
 
 
-def _raw_solve(cost: np.ndarray) -> np.ndarray:
-    """Row -> column via scipy; infeasible edges are +inf in ``cost``."""
-    try:
-        rows, cols = linear_sum_assignment(cost)
-    except ValueError as exc:
-        raise AssignmentInfeasibleError(
-            "rows cannot all be matched to feasible columns") from exc
-    out = np.empty(cost.shape[0], dtype=np.int64)
-    out[rows] = cols
-    return out
+def tie_tolerance(total: float) -> float:
+    """Slack within which two assignment totals near ``total`` count as tied."""
+    return _REL_TOL * max(1.0, abs(total))
 
 
-def solve_assignment(matrix: WeightMatrix, maximize: bool = True) -> np.ndarray:
+def solve_assignment(matrix: WeightMatrix, maximize: bool = True,
+                     offset: float = 0.0) -> np.ndarray:
     """Optimal row -> column map, lexicographically smallest among optima.
 
-    With ``maximize`` False the total weight is minimized instead. Raises
-    :class:`AssignmentInfeasibleError` when some row has no feasible column
-    or no complete matching of the rows exists.
+    With ``maximize`` False the total weight is minimized instead. Two
+    totals within :func:`tie_tolerance` of the optimum count as tied; a
+    one-row matrix takes the first column of exactly optimal weight.
+    ``offset`` is the optimal weight of rows solved elsewhere as part of
+    the same problem (a slot's other components); it only scales the
+    tolerance. Raises :class:`AssignmentInfeasibleError` when some row has
+    no feasible column or no complete matching of the rows exists.
     """
     w = matrix.weights
     n_rows, n_cols = w.shape
@@ -84,46 +95,142 @@ def solve_assignment(matrix: WeightMatrix, maximize: bool = True) -> np.ndarray:
         j = int(np.flatnonzero(matrix.feasible[0] & (cost[0] == cost[0].min()))[0])
         return np.array([j], dtype=np.int64)
 
-    assigned = _raw_solve(cost)
-    total = float(cost[np.arange(n_rows), assigned].sum())
-    tol = _REL_TOL * max(1.0, abs(total))
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError as exc:
+        raise AssignmentInfeasibleError(
+            "rows cannot all be matched to feasible columns") from exc
+    total = float(cost[rows, cols].sum())
+    tol = tie_tolerance(total - offset if maximize else total + offset)
+    return _lex_smallest(cost, cols.astype(np.int64), tol)
 
-    # Fix rows in order; for each, adopt the smallest column index that an
-    # exact re-solve of the remaining rows proves compatible with optimality.
-    fixed = np.full(n_rows, -1, dtype=np.int64)
-    used = np.zeros(n_cols, dtype=bool)
-    prefix = 0.0
-    for i in range(n_rows):
-        free_cols = np.flatnonzero(~used)
-        best_j = None
-        for j in free_cols:
-            if not matrix.feasible[i, j]:
+
+def _column_potentials(cost: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Column potentials v <= 0 of an optimal map, zero on unused columns.
+
+    ``v[b]`` is the shortest distance to column b in the residual graph,
+    where row k moving from its column to column b costs
+    ``cost[k, b] - cost[k, match[k]]``; an optimal map has no negative
+    cycle, so Bellman-Ford settles within one round per row. The row
+    potentials ``cost[k, match[k]] - v[match[k]]`` complete a dual solution
+    that is tight on the map.
+    """
+    step = cost - cost[np.arange(len(match)), match][:, None]
+    v = np.zeros(cost.shape[1])
+    for _ in range(len(match)):
+        relaxed = np.minimum(v, (v[match][:, None] + step).min(axis=0))
+        if (relaxed >= v).all():
+            break
+        v = relaxed
+    return v
+
+
+def _reduced(cost: np.ndarray, match: np.ndarray, v: np.ndarray) -> np.ndarray:
+    u = cost[np.arange(len(match)), match] - v[match]
+    return np.maximum(cost - u[:, None] - v, 0.0)
+
+
+def _column_distances(leave: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths over columns, ``leave[b, c]`` being the cost
+    of the move out of column b into column c (min-plus squaring)."""
+    dist, reach = leave, 1
+    while reach < len(leave) - 1:
+        dist = np.minimum(dist, (dist[:, :, None] + dist[None, :, :]).min(axis=1))
+        reach *= 2
+    return dist
+
+
+def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray:
+    """Lexicographically smallest map within ``tol`` of the optimal ``match``.
+
+    Row i keeps its column unless a smaller free column j has a cheapest
+    completion within the tolerance left. That completion moves row i to
+    j and shifts the other rows along the shortest alternating path from j
+    back to i's column, so its excess is the reduced cost of (i, j) plus
+    that path's length. Columns left unused act as one hub: leaving any of
+    them for column b costs ``-v[b]``.
+    """
+    n, m = cost.shape
+    rows = np.arange(n)
+    # certificate: the excess of moving row i to column j with nothing
+    # fixed, its cost change plus the shortest path from j back to i's
+    # column; passing the tolerance at no smaller column means no row moves
+    move = cost - cost[rows, match][:, None]
+    leave = np.zeros((m, m))
+    leave[match] = move
+    excess = move + _column_distances(leave)[:, match].T
+    if not ((excess <= tol) & (np.arange(m) < match[:, None])).any():
+        return match
+
+    v = _column_potentials(cost, match)
+    reduced = _reduced(cost, match, v)
+    owner = np.full(m, -1)
+    owner[match] = rows
+    match = match.copy()
+    free = np.ones(m, dtype=bool)
+    spent = 0.0
+    for i in range(n):
+        t = int(match[i])
+        for j in np.flatnonzero(free[:t] & (reduced[i, :t] <= tol - spent)).tolist():
+            found = _alternating_path(reduced[i + 1:], v, owner - (i + 1), free, j, t,
+                                      tol - spent - reduced[i, j])
+            if found is None:
                 continue
-            candidate = prefix + cost[i, j]
-            rest_rows = np.arange(i + 1, n_rows)
-            if rest_rows.size:
-                sub_cols = free_cols[free_cols != j]
-                sub = cost[np.ix_(rest_rows, sub_cols)]
-                # relaxed bound (column reuse allowed) prunes most candidates
-                row_min = sub.min(axis=1)
-                if not np.isfinite(row_min).all():
-                    continue            # some remaining row loses its last column
-                if candidate + float(row_min.sum()) > total + tol:
-                    continue
-                try:
-                    sub_assigned = _raw_solve(sub)
-                except AssignmentInfeasibleError:
-                    continue
-                candidate += float(sub[np.arange(sub.shape[0]), sub_assigned].sum())
-            if candidate <= total + tol:
-                best_j = j
-                break
-        if best_j is None:
-            raise AssignmentInfeasibleError(f"row {i} has no feasible column")
-        fixed[i] = best_j
-        used[best_j] = True
-        prefix += cost[i, best_j]
-    return fixed
+            length, path = found
+            spent += reduced[i, j] + length
+            movers = owner[path[:-1]]
+            owner[path[1:]] = movers
+            owner[j] = i
+            real = movers >= 0
+            match[movers[real]] = np.asarray(path[1:])[real]
+            match[i] = j
+            free[j] = False
+            rest = np.flatnonzero(free)
+            pos = np.full(m, -1)
+            pos[rest] = np.arange(len(rest))
+            sub, sub_match = cost[i + 1:, rest], pos[match[i + 1:]]
+            v = np.zeros(m)
+            v[rest] = _column_potentials(sub, sub_match)
+            reduced[i + 1:] = _reduced(cost[i + 1:], match[i + 1:], v)
+            break
+        free[match[i]] = False
+    return match
+
+
+def _alternating_path(reduced, v, owner, free, start, target, budget):
+    """Shortest path from column ``start`` to column ``target`` of length at
+    most ``budget``, as (length, columns), or None.
+
+    ``reduced`` holds the rows that may still move, ``owner`` maps a column
+    to its row there (negative when the column is unused or taken by a row
+    that may not move) and only ``free`` columns are entered. A row leaves
+    its column for column b at ``reduced[row, b]``; an unused column is left
+    for column b at ``-v[b]``.
+    """
+    dist = {start: 0.0}
+    prev = {}
+    heap = [(0.0, start)]
+    done = set()
+    cols = np.flatnonzero(free)
+    while heap:
+        d, b = heapq.heappop(heap)
+        if b in done:
+            continue
+        if b == target:
+            path = [b]
+            while path[-1] != start:
+                path.append(prev[path[-1]])
+            return d, path[::-1]
+        done.add(b)
+        k = owner[b]
+        leave = reduced[k] if k >= 0 else -v
+        for c in cols[d + leave[cols] <= budget].tolist():
+            nd = d + leave[c]
+            if c not in done and nd < dist.get(c, np.inf):
+                dist[c] = nd
+                prev[c] = b
+                heapq.heappush(heap, (nd, c))
+    return None
 
 
 def assignment_value(matrix: WeightMatrix, row_to_col: np.ndarray) -> float:

@@ -131,6 +131,7 @@ class EstimateTable:
     sat_ids: np.ndarray = field(default=None)
     station_ids: np.ndarray = field(default=None)
     _bounds: np.ndarray = field(default=None, repr=False)
+    _plan: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.transmitters is None:

@@ -7,7 +7,9 @@ estimate table for scheduler experiments without orbit propagation.
 
 Artifacts are assembled in a staging directory and moved into place with a
 single rename, so an interrupted run never leaves a half-written output
-tree behind. All writers are deterministic: repeating a run with the same
+tree behind, and a run that fails removes its staging directory. Each
+base schedule (rr, greedy) is computed once per run and shared with the
+opportunistic scheduler that takes its rate floors from it. All writers are deterministic: repeating a run with the same
 inputs reproduces every artifact byte for byte.
 """
 
@@ -43,7 +45,13 @@ from .metrics import (
 )
 from .orbit import build_visibility
 from .scenario import ScenarioError, load_scenario
-from .sched import derive_min_rates, run_greedy, run_opportunistic, run_rr
+from .sched import (
+    check_opportunistic,
+    derive_min_rates,
+    run_greedy,
+    run_opportunistic,
+    run_rr,
+)
 from .weather import WeatherError, apply_filter, cloud_matrix, load_clouds
 
 SCHEDULERS = ("rr", "greedy", "op-rr", "op-greedy", "maxmin", "maxsum")
@@ -151,6 +159,8 @@ def _cmd_run(args) -> int:
     if args.table and args.clouds:
         raise CliError("cli", "--clouds needs --scenario; tables carry their "
                               "own cloud column")
+    if any(name.startswith("op-") for name in names):
+        check_opportunistic(args.delta, args.max_passes)
 
     if args.scenario:
         _verbose(f"loading scenario {args.scenario}")
@@ -177,69 +187,77 @@ def _cmd_run(args) -> int:
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
+    try:
+        pairs = station_pairs(table.n_stations)
+        reports, bases = [], {}
+        for name in names:
+            sub = staging / name
+            sub.mkdir()
+            _verbose(f"running scheduler {name}")
+            start = time.perf_counter()
+            schedule, allocation = _execute(name, table, pairs, args, sub, bases)
+            report = summarize(schedule, allocation, scheduler=name)
+            report.runtime_s = time.perf_counter() - start
+            _verbose(f"  {name}: min {report.min_key} / total {report.total_key} "
+                     f"bits in {report.runtime_s:.2f}s")
+            write_schedule_csv(sub / "schedule.csv", schedule, table)
+            write_pools_csv(sub / "pools.csv", schedule, table)
+            write_allocation_csv(sub / "allocation.csv", allocation, table)
+            write_report_json(sub / "report.json", report,
+                              station_ids=table.station_ids)
+            reports.append(report)
 
-    pairs = station_pairs(table.n_stations)
-    reports = []
-    for name in names:
-        sub = staging / name
-        sub.mkdir()
-        _verbose(f"running scheduler {name}")
-        start = time.perf_counter()
-        schedule, allocation = _execute(name, table, pairs, args, sub)
-        report = summarize(schedule, allocation, scheduler=name)
-        report.runtime_s = time.perf_counter() - start
-        _verbose(f"  {name}: min {report.min_key} / total {report.total_key} "
-                 f"bits in {report.runtime_s:.2f}s")
-        write_schedule_csv(sub / "schedule.csv", schedule, table)
-        write_pools_csv(sub / "pools.csv", schedule, table)
-        write_allocation_csv(sub / "allocation.csv", allocation, table)
-        write_report_json(sub / "report.json", report,
-                          station_ids=table.station_ids)
-        reports.append(report)
-
-    write_comparison_csv(staging / "comparison.csv", reports)
-    write_histograms_csv(staging / "histograms.csv", choice_histograms(table))
-    with open(staging / "run_config.json", "w") as fh:
-        json.dump({
-            "source": args.scenario or args.table,
-            "clouds": args.clouds,
-            "filter_threshold": None if args.no_filter else args.filter_threshold,
-            "schedulers": names,
-            "delta": args.delta, "max_passes": args.max_passes, "tol": args.tol,
-            "solver_nodes": args.solver_nodes, "seed": args.seed,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if args.dump_estimates:
-        write_estimates_csv(table, staging / "estimates.csv")
-
-    if out.exists():
-        shutil.rmtree(out)
-    staging.rename(out)
+        write_comparison_csv(staging / "comparison.csv", reports)
+        write_histograms_csv(staging / "histograms.csv", choice_histograms(table))
+        with open(staging / "run_config.json", "w") as fh:
+            json.dump({
+                "source": args.scenario or args.table,
+                "clouds": args.clouds,
+                "filter_threshold": None if args.no_filter else args.filter_threshold,
+                "schedulers": names,
+                "delta": args.delta, "max_passes": args.max_passes, "tol": args.tol,
+                "solver_nodes": args.solver_nodes, "seed": args.seed,
+            }, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if args.dump_estimates:
+            write_estimates_csv(table, staging / "estimates.csv")
+        if out.exists():
+            shutil.rmtree(out)
+        staging.rename(out)
+    except BaseException:
+        # an aborted run leaves neither a staging tree nor a partial output
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     print(f"wrote {len(names)} scheduler run(s) to {out}")
     return 0
 
 
-def _execute(name, table, pairs, args, sub):
+def _execute(name, table, pairs, args, sub, bases):
     if name in ("maxmin", "maxsum"):
         export = (sub / "model.lp") if args.export_lp else None
         result = solve_baseline(table, name, pairs=pairs,
                                 max_nodes=args.solver_nodes, export_path=export)
         return result.schedule, result.allocation
 
-    if name == "rr":
-        schedule = run_rr(table)
-    elif name == "greedy":
-        schedule = run_greedy(table)
+    if name in ("rr", "greedy"):
+        schedule = _base_schedule(name, table, bases)
     else:
         base_name = name.split("-", 1)[1]
-        base = run_rr(table) if base_name == "rr" else run_greedy(table)
-        targets = derive_min_rates(base, table)
+        targets = derive_min_rates(_base_schedule(base_name, table, bases), table)
         schedule = run_opportunistic(table, targets, delta=args.delta,
                                      max_passes=args.max_passes, tol=args.tol)
         schedule.metadata["scheduler"] = name
         schedule.metadata["targets_from"] = base_name
     allocation = iterate_phase2(schedule.key_pool, pairs)
     return schedule, allocation
+
+
+def _base_schedule(name, table, bases):
+    """The rr or greedy schedule, computed once per run and shared with the
+    opportunistic scheduler that takes its targets from it."""
+    if name not in bases:
+        bases[name] = run_rr(table) if name == "rr" else run_greedy(table)
+    return bases[name]
 
 
 # ------------------------------------------------------------------- synth

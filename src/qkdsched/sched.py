@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csgraph, csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .assign import AssignmentInfeasibleError, WeightMatrix, solve_assignment
+from .assign import WeightMatrix, solve_assignment, tie_tolerance
 from .channel import EstimateTable
 
 
@@ -82,40 +82,218 @@ def _links(estimates: EstimateTable) -> np.ndarray:
     return estimates.sat * estimates.n_stations + estimates.station
 
 
-def _solve_slot(estimates: EstimateTable, lo: int, hi: int,
-                weight: np.ndarray, maximize: bool) -> np.ndarray:
-    """Rows of the slot spanning rows [lo, hi) that an optimal assignment
-    serves, given one weight per row.
+@dataclass
+class SlotPlan:
+    """Weight-independent structure of every occupied slot, as flat arrays.
 
-    Each satellite and station appears once per transmitter or receiver;
-    the smaller side (stations on ties) forms the matrix rows. When no
-    complete matching of the matrix rows exists, the rows of a maximum
-    matching are solved instead.
+    Slot p spans table rows ``[lo[p], hi[p])``. Its assignment matrix has a
+    row per station capacity copy and a column per satellite copy, or the
+    transpose when satellites have strictly fewer copies. The rows kept are
+    all of them or, where Hall's condition fails, the rows of one maximum
+    matching; they fall into connected components that share no column.
+    The multi-row components form one dense ``block`` of shape
+    ``(block_rows[p], block_cols[p])``, the single-row ones a dense block
+    ``lone`` of shape ``(lone_rows[p], lone_cols[p])``; both start at
+    ``block_off[p]``/``lone_off[p]`` and hold slot-local table rows, with
+    ``hi[p] - lo[p]`` where no link exists. ``row_pos``/``col_pos`` give
+    the position of every block row and column (the multi-row block's
+    first) in the kept matrix, from ``pos_off[p]``/``col_off[p]``, for a
+    whole-slot solve.
     """
-    sats, si = np.unique(estimates.sat[lo:hi], return_inverse=True)
-    stations, gi = np.unique(estimates.station[lo:hi], return_inverse=True)
-    link = np.full((len(sats), len(stations)), -1)
-    link[si, gi] = np.arange(hi - lo)
-    sat_copies = np.repeat(np.arange(len(sats)), estimates.transmitters[sats])
-    station_copies = np.repeat(np.arange(len(stations)), estimates.receivers[stations])
-    cell = link[np.ix_(sat_copies, station_copies)]
-    if len(sat_copies) >= len(station_copies):
-        cell = cell.T
-    feasible = cell >= 0
-    matrix = WeightMatrix(weights=np.where(feasible, weight[cell], 0.0),
-                          feasible=feasible)
-    rows = np.arange(len(cell))
-    try:
-        cols = solve_assignment(matrix, maximize=maximize)
-    except AssignmentInfeasibleError:
-        match = maximum_bipartite_matching(csr_matrix(feasible.astype(np.int8)),
-                                           perm_type="column")
-        rows = np.flatnonzero(match >= 0)
-        cols = solve_assignment(WeightMatrix(weights=matrix.weights[rows],
-                                             feasible=feasible[rows]),
-                                maximize=maximize)
-    # capacity copies of one link collapse to its single row
-    return lo + np.unique(cell[rows, cols])
+
+    lo: np.ndarray
+    hi: np.ndarray
+    block_rows: np.ndarray
+    block_cols: np.ndarray
+    lone_rows: np.ndarray
+    lone_cols: np.ndarray
+    block_off: np.ndarray
+    lone_off: np.ndarray
+    pos_off: np.ndarray
+    col_off: np.ndarray
+    block: np.ndarray
+    lone: np.ndarray
+    row_pos: np.ndarray
+    col_pos: np.ndarray
+
+    def slots(self) -> list:
+        """Per occupied slot, the plain-int tuple :func:`_solve_slot` takes."""
+        return list(zip(*(a.tolist() for a in (
+            self.lo, self.hi, self.block_rows, self.block_cols, self.lone_rows,
+            self.lone_cols, self.block_off, self.lone_off, self.pos_off, self.col_off))))
+
+
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _ranks(group: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """Rank of each flagged item among the flagged items of its group;
+    ``group`` is sorted."""
+    before = np.cumsum(flag) - flag
+    first = np.searchsorted(group, group)
+    return before - before[first]
+
+
+def slot_plan(estimates: EstimateTable) -> SlotPlan:
+    """The table's :class:`SlotPlan`, built on first use and cached."""
+    if estimates._plan is None:
+        estimates._plan = _build_plan(estimates)
+    return estimates._plan
+
+
+def _build_plan(estimates: EstimateTable) -> SlotPlan:
+    lo, hi = estimates.slot_spans()
+    n_slots = len(lo)
+    size = hi - lo
+    p_of = np.repeat(np.arange(n_slots), size)          # occupied slot of each row
+    sat, station = estimates.sat, estimates.station
+    tx, rx = estimates.transmitters[sat], estimates.receivers[station]
+
+    # first capacity copy of each row's satellite and station within its slot
+    new_sat = np.r_[True, (p_of[1:] != p_of[:-1]) | (sat[1:] != sat[:-1])]
+    sat_base = _exclusive_cumsum(np.where(new_sat, tx, 0))[:-1]
+    sat_first = sat_base[np.maximum.accumulate(np.where(new_sat, np.arange(len(sat)), 0))]
+    sat_copy = sat_first - sat_base[lo][p_of]
+    n_sat_copies = np.bincount(p_of, weights=np.where(new_sat, tx, 0),
+                               minlength=n_slots).astype(np.int64)
+    keys, link_station = np.unique(p_of * estimates.n_stations + station, return_inverse=True)
+    key_rx = estimates.receivers[keys % estimates.n_stations]
+    key_slot = keys // estimates.n_stations
+    key_base = _exclusive_cumsum(key_rx)[:-1]
+    key_copy = key_base - key_base[np.searchsorted(key_slot, key_slot)]
+    station_copy = key_copy[link_station]
+    n_station_copies = np.bincount(key_slot, weights=key_rx, minlength=n_slots).astype(np.int64)
+
+    # one matrix cell per (satellite copy, station copy) of every row
+    per_row = tx * rx
+    row_cells = _exclusive_cumsum(per_row)
+    cell_row = np.repeat(np.arange(len(sat)), per_row)
+    q = np.arange(len(cell_row)) - np.repeat(row_cells[:-1], per_row)
+    cell_sat = sat_copy[cell_row] + q // rx[cell_row]
+    cell_station = station_copy[cell_row] + q % rx[cell_row]
+    stations_are_rows = n_sat_copies >= n_station_copies
+    n_rows = np.where(stations_are_rows, n_station_copies, n_sat_copies)
+    n_cols = np.where(stations_are_rows, n_sat_copies, n_station_copies)
+    cell_p = p_of[cell_row]
+    flip = stations_are_rows[cell_p]
+    row_base, col_base = _exclusive_cumsum(n_rows), _exclusive_cumsum(n_cols)
+    r = row_base[cell_p] + np.where(flip, cell_station, cell_sat)
+    c = col_base[cell_p] + np.where(flip, cell_sat, cell_station)
+    n_r, n_c = int(row_base[-1]), int(col_base[-1])
+
+    # Hall's condition: the block-diagonal matching sizes every slot's maximum
+    # matching; a slot short of rows keeps the rows its own matching covers
+    graph = csr_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(n_r, n_c))
+    row_p = np.repeat(np.arange(n_slots), n_rows)
+    matched = np.bincount(row_p, weights=csgraph.maximum_bipartite_matching(
+        graph, perm_type="column") >= 0, minlength=n_slots)
+    kept = np.ones(n_r, dtype=bool)
+    for p in np.flatnonzero(matched < n_rows).tolist():
+        mine = slice(row_cells[lo[p]], row_cells[hi[p]])
+        feasible = np.zeros((n_rows[p], n_cols[p]), dtype=np.int8)
+        feasible[r[mine] - row_base[p], c[mine] - col_base[p]] = 1
+        match = maximum_bipartite_matching(csr_matrix(feasible), perm_type="column")
+        kept[row_base[p]:row_base[p + 1]] = match >= 0
+
+    # components of the kept rows; single-row ones form the lone block
+    keep = kept[r]
+    r, c, cell_p, local = r[keep], c[keep], cell_p[keep], cell_row[keep] - lo[cell_p[keep]]
+    _, label = csgraph.connected_components(
+        csr_matrix((np.ones(len(r), dtype=np.int8), (r, n_r + c)),
+                   shape=(n_r + n_c, n_r + n_c)), directed=False)
+    comp_rows = np.bincount(label[:n_r][kept], minlength=n_r + n_c)
+    in_block = comp_rows[label] > 1                      # per node
+    used_col = np.zeros(n_c, dtype=bool)
+    used_col[c] = True
+    col_p = np.repeat(np.arange(n_slots), n_cols)
+
+    def layout(nodes, node_p, node_used):
+        """Ranks of used nodes in the block, the lone block and the slot."""
+        b = node_used & in_block[nodes]
+        l = node_used & ~in_block[nodes]
+        return (_ranks(node_p, b), _ranks(node_p, l), _ranks(node_p, node_used),
+                np.bincount(node_p[b], minlength=n_slots),
+                np.bincount(node_p[l], minlength=n_slots), b, l)
+
+    rb, rl, rk, block_rows, lone_rows, row_b, row_l = layout(np.arange(n_r), row_p, kept)
+    cb, cl, ck, block_cols, lone_cols, col_b, col_l = layout(n_r + np.arange(n_c),
+                                                            col_p, used_col)
+    block_off = _exclusive_cumsum(block_rows * block_cols)
+    lone_off = _exclusive_cumsum(lone_rows * lone_cols)
+    block = np.repeat(size, block_rows * block_cols).astype(np.int32)
+    lone = np.repeat(size, lone_rows * lone_cols).astype(np.int32)
+    b = row_b[r]
+    block[(block_off[cell_p] + rb[r] * block_cols[cell_p] + cb[c])[b]] = local[b]
+    lone[(lone_off[cell_p] + rl[r] * lone_cols[cell_p] + cl[c])[~b]] = local[~b]
+
+    pos_off = _exclusive_cumsum(block_rows + lone_rows)
+    col_off = _exclusive_cumsum(block_cols + lone_cols)
+    row_pos = np.empty(pos_off[-1], dtype=np.int32)
+    row_pos[(pos_off[row_p] + np.where(row_b, rb, block_rows[row_p] + rl))[kept]] = rk[kept]
+    col_pos = np.empty(col_off[-1], dtype=np.int32)
+    col_pos[(col_off[col_p] + np.where(col_b, cb, block_cols[col_p] + cl))[used_col]] = \
+        ck[used_col]
+    return SlotPlan(lo, hi, block_rows, block_cols, lone_rows, lone_cols, block_off,
+                    lone_off, pos_off, col_off, block, lone, row_pos, col_pos)
+
+
+def _solve_slot(plan: SlotPlan, slot: tuple, weight: np.ndarray,
+                maximize: bool) -> np.ndarray:
+    """Slot-local table rows that an optimal assignment of one planned slot
+    serves, given one weight per row of the slot.
+
+    Components share no column, so they are solved apart: each single-row
+    component takes its first column within tolerance of its best weight,
+    and the multi-row components go to :func:`solve_assignment` together,
+    as one block-diagonal matrix. The tie tolerance is the whole slot's
+    (``tie_tolerance`` of the summed optima; zero for a one-row slot).
+    Slack spent on near-ties is shared across the slot; in the rare case
+    that lone rows spend some, the kept matrix is solved whole instead.
+    Capacity copies of one link may both be chosen, so a row can repeat.
+    """
+    a, b, n_block, block_cols, n_lone, lone_cols, block_at, lone_at, _, _ = slot
+    w = np.append(weight, -np.inf if maximize else np.inf)   # padding entry
+    if n_lone:
+        lone = plan.lone[lone_at:lone_at + n_lone * lone_cols].reshape(n_lone, lone_cols)
+        vals = w[lone]
+        best = vals.max(axis=1) if maximize else vals.min(axis=1)
+        offset = float(best.sum())
+    else:
+        offset = 0.0
+    if n_block:
+        block = plan.block[block_at:block_at + n_block * block_cols].reshape(n_block,
+                                                                            block_cols)
+        cols = solve_assignment(WeightMatrix(weights=w[block], feasible=block < b - a),
+                                maximize=maximize, offset=offset)
+        taken = block[np.arange(n_block), cols]
+        if not n_lone:
+            return taken
+        tol = tie_tolerance(offset + float(w[taken].sum()))
+    else:
+        taken = lone[:0, 0]
+        tol = tie_tolerance(offset) if n_lone > 1 else 0.0
+    within = vals >= (best - tol)[:, None] if maximize else vals <= (best + tol)[:, None]
+    pick = within.argmax(axis=1)
+    excess = float(np.abs(vals[np.arange(n_lone), pick] - best).sum())
+    if excess > 0.0 and (n_block or excess > tol):
+        return _solve_kept(plan, slot, w, maximize)
+    return np.concatenate((taken, lone[np.arange(n_lone), pick]))
+
+
+def _solve_kept(plan: SlotPlan, slot: tuple, w: np.ndarray, maximize: bool) -> np.ndarray:
+    """The slot's kept matrix reassembled from its blocks and solved whole."""
+    a, b, n_block, block_cols, n_lone, lone_cols, block_at, lone_at, pos_at, col_at = slot
+    kept = np.full((n_block + n_lone, block_cols + lone_cols), b - a)
+    rows = plan.row_pos[pos_at:pos_at + n_block + n_lone]
+    cols = plan.col_pos[col_at:col_at + block_cols + lone_cols]
+    kept[np.ix_(rows[:n_block], cols[:block_cols])] = \
+        plan.block[block_at:block_at + n_block * block_cols].reshape(n_block, block_cols)
+    kept[np.ix_(rows[n_block:], cols[block_cols:])] = \
+        plan.lone[lone_at:lone_at + n_lone * lone_cols].reshape(n_lone, lone_cols)
+    choice = solve_assignment(WeightMatrix(weights=w[kept], feasible=kept < b - a),
+                              maximize=maximize)
+    return kept[np.arange(len(kept)), choice]
 
 
 def run_rr(estimates: EstimateTable) -> Schedule:
@@ -127,15 +305,19 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     across links regardless of their quality.
     """
     link = _links(estimates)
-    lo, hi = estimates.slot_spans()
-    single = hi - lo == 1
+    plan = slot_plan(estimates)
+    single = plan.hi - plan.lo == 1
     served = np.zeros(len(estimates), dtype=bool)
-    served[lo[single]] = True
-    counters = np.bincount(link[lo[single]],
+    served[plan.lo[single]] = True
+    counters = np.bincount(link[plan.lo[single]],
                            minlength=estimates.n_sats * estimates.n_stations).astype(float)
-    for a, b in zip(lo[~single].tolist(), hi[~single].tolist()):
-        rows = _solve_slot(estimates, a, b, counters[link[a:b]], maximize=False)
+    for slot, direct in zip(plan.slots(), single.tolist()):
+        if direct:
+            continue
+        a, b = slot[:2]
+        rows = a + _solve_slot(plan, slot, counters[link[a:b]], maximize=False)
         served[rows] = True
+        # a repeated row (two capacity copies of one link) counts once
         counters[link[rows]] += 1.0
     return Schedule.from_mask(estimates, served, {"scheduler": "rr"})
 
@@ -192,6 +374,14 @@ def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> MinRatePro
     return MinRateProfile(rates=rates, normalizer=norm)
 
 
+def check_opportunistic(delta: float, max_passes: int) -> None:
+    """Raise ValueError for settings :func:`run_opportunistic` refuses."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
+
+
 def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
                       delta: float = 0.01, max_passes: int = 50,
                       tol: float = 1e-4) -> Schedule:
@@ -205,25 +395,22 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     across a pass drops below ``tol`` or ``max_passes`` is hit; the last
     pass's decisions are the schedule.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if max_passes < 1:
-        raise ValueError("max_passes must be at least 1")
+    check_opportunistic(delta, max_passes)
     link = _links(estimates)
     target = targets.rates.ravel()
     lam = np.zeros(estimates.n_sats * estimates.n_stations)
     norm = estimates.normalizer
-    lo, hi = estimates.slot_spans()
-    spans = list(zip(lo.tolist(), hi.tolist()))
+    plan = slot_plan(estimates)
+    slots = plan.slots()
     converged = False
     for passes in range(1, max_passes + 1):
         lam_start = lam.copy()
         served = np.zeros(len(estimates), dtype=bool)
-        for a, b in spans:
+        for slot in slots:
+            a, b = slot[:2]
             l, bits = link[a:b], estimates.key_bits[a:b]
-            rows = _solve_slot(estimates, a, b, (1.0 + lam[l]) * bits / norm,
-                               maximize=True)
-            served[rows] = True
+            served[a + _solve_slot(plan, slot, (1.0 + lam[l]) * bits / norm,
+                                   maximize=True)] = True
             u, r = bits / norm, target[l]
             lam[l] = np.maximum(0.0, np.where(served[a:b], lam[l] - delta * (u - r),
                                               lam[l] + delta * r))

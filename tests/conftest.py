@@ -5,8 +5,9 @@ force permutation scans for the assignment solver, depth-first search with
 capacity pruning for the pairwise-key program, plain bisection for the
 key-rate zero crossing, scalar per-triple geometry for the visibility scan,
 loop-by-loop builders of the integer programs that the library assembles
-from index arrays, dict-based Phase-1 schedulers for the array ones, and
-a dict-based joint-capacity sum for the array helper. They are slow and
+from index arrays, dict-based Phase-1 schedulers for the array ones (on
+the re-solve assignment solver the dual-certified one replaced), and a
+dict-based joint-capacity sum for the array helper. They are slow and
 only meant for desk-scale cross checks.
 """
 
@@ -564,23 +565,93 @@ class _ReferenceSlotView:
         return served
 
 
+def reference_solve_assignment(matrix, maximize=True):
+    """The assignment solver as it was before the dual-certified tie rule.
+
+    Fixes rows in order; each takes the smallest column index for which an
+    exact re-solve of the remaining rows (``linear_sum_assignment``) keeps
+    the total within ``1e-9`` relative of the optimum. One-row matrices take
+    the first exactly optimal column.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    from qkdsched.assign import AssignmentInfeasibleError
+
+    def raw_solve(cost):
+        try:
+            rows, cols = linear_sum_assignment(cost)
+        except ValueError as exc:
+            raise AssignmentInfeasibleError("no complete matching") from exc
+        out = np.empty(cost.shape[0], dtype=np.int64)
+        out[rows] = cols
+        return out
+
+    w = matrix.weights
+    n_rows, n_cols = w.shape
+    if n_rows > n_cols:
+        raise ValueError("more rows than columns; orient the matrix first")
+    if not matrix.feasible.any(axis=1).all():
+        raise AssignmentInfeasibleError("a row has no feasible column")
+    cost = np.where(matrix.feasible, -w if maximize else w, np.inf)
+    if n_rows == 0:
+        return np.zeros(0, dtype=np.int64)
+    if n_rows == 1:
+        j = int(np.flatnonzero(matrix.feasible[0] & (cost[0] == cost[0].min()))[0])
+        return np.array([j], dtype=np.int64)
+
+    assigned = raw_solve(cost)
+    total = float(cost[np.arange(n_rows), assigned].sum())
+    tol = 1e-9 * max(1.0, abs(total))
+    fixed = np.full(n_rows, -1, dtype=np.int64)
+    used = np.zeros(n_cols, dtype=bool)
+    prefix = 0.0
+    for i in range(n_rows):
+        free_cols = np.flatnonzero(~used)
+        best_j = None
+        for j in free_cols:
+            if not matrix.feasible[i, j]:
+                continue
+            candidate = prefix + cost[i, j]
+            rest_rows = np.arange(i + 1, n_rows)
+            if rest_rows.size:
+                sub = cost[np.ix_(rest_rows, free_cols[free_cols != j])]
+                row_min = sub.min(axis=1)
+                if not np.isfinite(row_min).all():
+                    continue
+                if candidate + float(row_min.sum()) > total + tol:
+                    continue
+                try:
+                    sub_assigned = raw_solve(sub)
+                except AssignmentInfeasibleError:
+                    continue
+                candidate += float(sub[np.arange(sub.shape[0]), sub_assigned].sum())
+            if candidate <= total + tol:
+                best_j = j
+                break
+        if best_j is None:
+            raise AssignmentInfeasibleError(f"row {i} has no feasible column")
+        fixed[i] = best_j
+        used[best_j] = True
+        prefix += cost[i, best_j]
+    return fixed
+
+
 def _reference_solve_slot(view, weight_of, maximize):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    from qkdsched.assign import (AssignmentInfeasibleError, WeightMatrix,
-                                 solve_assignment)
+    from qkdsched.assign import AssignmentInfeasibleError, WeightMatrix
 
     matrix = view.matrix(weight_of)
     try:
-        return view.pairs_from(solve_assignment(matrix, maximize=maximize))
+        return view.pairs_from(reference_solve_assignment(matrix, maximize=maximize))
     except AssignmentInfeasibleError:
         adjacency = csr_matrix(matrix.feasible.astype(np.int8))
         match = maximum_bipartite_matching(adjacency, perm_type="column")
         keep = np.flatnonzero(match >= 0)
         sub = WeightMatrix(weights=matrix.weights[keep],
                            feasible=matrix.feasible[keep])
-        sol = solve_assignment(sub, maximize=maximize)
+        sol = reference_solve_assignment(sub, maximize=maximize)
         return view.pairs_from(sol, row_mask=keep)
 
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qkdsched.channel import read_estimates_csv
 from qkdsched.cli import main
 
@@ -176,6 +178,61 @@ def test_run_rejects_pass_budget_below_one(tmp_path, capsys):
     assert err.startswith("error: input:")
     assert "max_passes" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--delta", "0"], ["--max-passes", "0"]])
+def test_run_with_bad_settings_leaves_no_staging(tmp_path, capsys, flag):
+    # rr would finish first; the bad opportunistic setting must stop the run
+    # before anything is staged
+    golden = Path(__file__).parent / "data" / "synth_golden.csv"
+    out = tmp_path / "stg" / "out"
+    rc = main(["run", "--table", str(golden), "--schedulers", "rr,op-rr", *flag,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: input:")
+    assert not out.exists()
+    assert not (tmp_path / "stg" / "out.staging").exists()
+
+
+def test_failed_run_removes_staging(tmp_path, monkeypatch):
+    # an error after staging began (here from the second scheduler) removes
+    # the staging tree with the first scheduler's artifacts
+    import qkdsched.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(cli, "run_greedy", broken)
+    out = tmp_path / "out"
+    rc = main(["run", "--table", str(_synth(tmp_path)), "--schedulers", "rr,greedy",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.staging").exists()
+
+
+@pytest.mark.parametrize("base", ["rr", "greedy"])
+def test_base_schedule_computed_once(tmp_path, monkeypatch, base):
+    import qkdsched.cli as cli
+
+    table = _synth(tmp_path, slots=20)
+    separate = {}
+    for name in (base, "op-" + base):
+        rc = main(["run", "--table", str(table), "--schedulers", name,
+                   "--max-passes", "3", "--out", str(tmp_path / name)])
+        assert rc == 0
+        separate.update({k: v for k, v in _tree(tmp_path / name).items() if "/" in k})
+    runner = "run_" + base
+    calls = []
+    original = getattr(cli, runner)
+    monkeypatch.setattr(cli, runner, lambda *a, **k: calls.append(1) or original(*a, **k))
+    out = tmp_path / "both"
+    rc = main(["run", "--table", str(table), "--schedulers", f"{base},op-{base}",
+               "--max-passes", "3", "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == 1
+    together = {k: v for k, v in _tree(out).items() if "/" in k}
+    assert together == separate
 
 
 def _clouded_scenario(tmp_path):

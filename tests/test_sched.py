@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qkdsched import sched
-from conftest import (check_schedule, make_table, random_table,
-                      reference_run_greedy, reference_run_opportunistic,
-                      reference_run_rr)
+from conftest import (_ReferenceSlotView, _reference_solve_slot, check_schedule,
+                      make_table, random_table, reference_run_greedy,
+                      reference_run_opportunistic, reference_run_rr)
 
 
 def _full_table(n_slots, n_sats, n_stations, bits_fn, **kw):
@@ -288,3 +288,70 @@ def test_schedulers_match_reference(rng, monkeypatch):
                 sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
                 reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
     assert fallbacks and zero_bit_served and two_capacity
+
+
+def _split_case(rng):
+    """A table whose slots mix a heavy link, lone stations with near-ties
+    and tied integer weights, under capacities of one and two."""
+    n_sats, n_stations = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    rows, weights = [], {}
+    for t in range(8):
+        heavy = float(rng.choice([1.0, 1e3, 1e5]))
+        for s in range(n_sats):
+            for g in range(n_stations):
+                if rng.random() < float(rng.uniform(0.25, 0.7)):
+                    rows.append((t, s, g, 1.0))
+                    kind = rng.random()
+                    if kind < 0.15:
+                        w = heavy
+                    elif kind < 0.55:
+                        w = float(rng.integers(0, 3))
+                    else:
+                        # a near-tie: the nudge is around the tolerance of a
+                        # slot holding the heavy link, far above that of a
+                        # component of weight ~1
+                        w = 1.0 + heavy * 1e-9 * float(rng.uniform(-1.5, 1.5))
+                    weights[(t, s, g)] = w
+    table = make_table(8, n_sats, n_stations, rows,
+                       transmitters=rng.integers(1, 3, n_sats),
+                       receivers=rng.integers(1, 3, n_stations))
+    weight = np.array([weights[k] for k in zip(table.slot.tolist(), table.sat.tolist(),
+                                               table.station.tolist())])
+    return table, weight
+
+
+def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
+    """Solving a slot's components apart, under the slot-wide tolerance,
+    serves the links the whole-slot re-solve serves.
+
+    The cases cover Hall-failing slots, slots with several components
+    (lone stations next to multi-row ones), capacities of two, integer
+    ties, and near-ties that only the slot-wide tolerance treats as ties;
+    some slots break more near-ties than the tolerance allows at once, so
+    the whole-slot solve runs too.
+    """
+    hall, kept_solves = [], []
+    matching = sched.maximum_bipartite_matching
+    monkeypatch.setattr(sched, "maximum_bipartite_matching",
+                        lambda *a, **k: hall.append(1) or matching(*a, **k))
+    solve_kept = sched._solve_kept
+    monkeypatch.setattr(sched, "_solve_kept",
+                        lambda *a, **k: kept_solves.append(1) or solve_kept(*a, **k))
+    mixed = two_capacity = 0
+    for trial in range(150):
+        table, weight = _split_case(rng)
+        plan = sched.slot_plan(table)
+        two_capacity += int(table.transmitters.max() == 2 or table.receivers.max() == 2)
+        for slot in plan.slots():
+            a, b = slot[:2]
+            mixed += int(slot[2] > 0 and slot[4] > 0)
+            by_link = {(int(s), int(g)): w for s, g, w in
+                       zip(table.sat[a:b], table.station[a:b], weight[a:b])}
+            view = _ReferenceSlotView(table, np.arange(a, b))
+            for maximize in (True, False):
+                rows = a + sched._solve_slot(plan, slot, weight[a:b], maximize)
+                got = sorted(set(zip(table.sat[rows].tolist(), table.station[rows].tolist())))
+                want = sorted(_reference_solve_slot(view, lambda s, g: by_link[(s, g)],
+                                                    maximize))
+                assert got == want, (trial, a, maximize)
+    assert hall and kept_solves and mixed and two_capacity
