@@ -9,9 +9,16 @@ dual multipliers drag every link's long-run rate up to a target floor.
 
 A schedule is a served-row mask over the estimate table, which is sorted
 by (slot, satellite, station); :meth:`Schedule.from_mask` turns any mask
-into served triples and key pools. Known limitation: in a slot that
-violates Hall's condition, :func:`_solve_slot` keeps whichever rows
-``maximum_bipartite_matching`` matches, whatever their weights.
+into served triples and key pools.
+
+Round-robin and the opportunistic passes solve one assignment per slot.
+What does not depend on the weights is planned once per table
+(:func:`slot_plan`): each slot's capacity-copy matrix, the rows kept where
+Hall's condition fails, and the connected components of those rows. Each
+slot is then solved component-wise by :func:`_solve_slot` under the whole
+slot's tie tolerance. Known limitation: in a slot that violates Hall's
+condition, the plan keeps whichever rows ``maximum_bipartite_matching``
+matches, whatever their weights.
 """
 
 from __future__ import annotations
@@ -151,7 +158,8 @@ def _build_plan(estimates: EstimateTable) -> SlotPlan:
     tx, rx = estimates.transmitters[sat], estimates.receivers[station]
 
     # first capacity copy of each row's satellite and station within its slot
-    new_sat = np.r_[True, (p_of[1:] != p_of[:-1]) | (sat[1:] != sat[:-1])]
+    new_sat = np.ones(len(sat), dtype=bool)
+    new_sat[1:] = (p_of[1:] != p_of[:-1]) | (sat[1:] != sat[:-1])
     sat_base = _exclusive_cumsum(np.where(new_sat, tx, 0))[:-1]
     sat_first = sat_base[np.maximum.accumulate(np.where(new_sat, np.arange(len(sat)), 0))]
     sat_copy = sat_first - sat_base[lo][p_of]
@@ -209,16 +217,16 @@ def _build_plan(estimates: EstimateTable) -> SlotPlan:
     col_p = np.repeat(np.arange(n_slots), n_cols)
 
     def layout(nodes, node_p, node_used):
-        """Ranks of used nodes in the block, the lone block and the slot."""
+        """Which used nodes go to the multi-row block, their ranks in that
+        block, in the lone block and in the slot, and the blocks' sizes."""
         b = node_used & in_block[nodes]
         l = node_used & ~in_block[nodes]
-        return (_ranks(node_p, b), _ranks(node_p, l), _ranks(node_p, node_used),
+        return (b, _ranks(node_p, b), _ranks(node_p, l), _ranks(node_p, node_used),
                 np.bincount(node_p[b], minlength=n_slots),
-                np.bincount(node_p[l], minlength=n_slots), b, l)
+                np.bincount(node_p[l], minlength=n_slots))
 
-    rb, rl, rk, block_rows, lone_rows, row_b, row_l = layout(np.arange(n_r), row_p, kept)
-    cb, cl, ck, block_cols, lone_cols, col_b, col_l = layout(n_r + np.arange(n_c),
-                                                            col_p, used_col)
+    row_b, rb, rl, rk, block_rows, lone_rows = layout(np.arange(n_r), row_p, kept)
+    col_b, cb, cl, ck, block_cols, lone_cols = layout(n_r + np.arange(n_c), col_p, used_col)
     block_off = _exclusive_cumsum(block_rows * block_cols)
     lone_off = _exclusive_cumsum(lone_rows * lone_cols)
     block = np.repeat(size, block_rows * block_cols).astype(np.int32)
