@@ -105,39 +105,42 @@ def solve_assignment(matrix: WeightMatrix, maximize: bool = True,
     return _lex_smallest(cost, cols.astype(np.int64), tol)
 
 
-def _column_potentials(cost: np.ndarray, match: np.ndarray) -> np.ndarray:
-    """Column potentials v <= 0 of an optimal map, zero on unused columns.
+def _row_distances(cost: np.ndarray, match: np.ndarray) -> tuple:
+    """Each row's cost of moving to each column, and the shortest
+    alternating paths between the columns of an optimal map.
 
-    ``v[b]`` is the shortest distance to column b in the residual graph,
-    where row k moving from its column to column b costs
-    ``cost[k, b] - cost[k, match[k]]``; an optimal map has no negative
-    cycle, so Bellman-Ford settles within one round per row. The row
-    potentials ``cost[k, match[k]] - v[match[k]]`` complete a dual solution
-    that is tight on the map.
+    Node k < n stands for row k's column, node n for all unused columns at
+    once. Leaving node k for row k2's column costs what row k pays to move
+    there; leaving it for node n costs row k's cheapest move into an unused
+    column; leaving node n for any row's column costs nothing. An optimal
+    map leaves no negative cycle, so Floyd-Warshall over the n + 1 nodes
+    settles the lengths, in memory quadratic in the rows.
     """
-    step = cost - cost[np.arange(len(match)), match][:, None]
-    v = np.zeros(cost.shape[1])
-    for _ in range(len(match)):
-        relaxed = np.minimum(v, (v[match][:, None] + step).min(axis=0))
-        if (relaxed >= v).all():
-            break
-        v = relaxed
+    n, m = cost.shape
+    move = cost - cost[np.arange(n), match][:, None]
+    unused = np.ones(m, dtype=bool)
+    unused[match] = False
+    dist = np.zeros((n + 1, n + 1))
+    dist[:n, :n] = move[:, match]
+    dist[:n, n] = np.min(move[:, unused], axis=1, initial=np.inf)
+    for k in range(n + 1):
+        dist = np.minimum(dist, dist[:, k, None] + dist[k])
+    return move, dist
+
+
+def _potentials(match: np.ndarray, dist: np.ndarray, n_cols: int) -> np.ndarray:
+    """Column potentials v <= 0 of an optimal map, zero on unused columns:
+    the shortest path into each column from anywhere. With the row
+    potentials ``cost[k, match[k]] - v[match[k]]`` they form a dual
+    solution that is tight on the map (complementary slackness)."""
+    v = np.zeros(n_cols)
+    v[match] = dist[:, :len(match)].min(axis=0)
     return v
 
 
 def _reduced(cost: np.ndarray, match: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = cost[np.arange(len(match)), match] - v[match]
     return np.maximum(cost - u[:, None] - v, 0.0)
-
-
-def _column_distances(leave: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths over columns, ``leave[b, c]`` being the cost
-    of the move out of column b into column c (min-plus squaring)."""
-    dist, reach = leave, 1
-    while reach < len(leave) - 1:
-        dist = np.minimum(dist, (dist[:, :, None] + dist[None, :, :]).min(axis=1))
-        reach *= 2
-    return dist
 
 
 def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray:
@@ -147,25 +150,24 @@ def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray
     completion within the tolerance left. That completion moves row i to
     j and shifts the other rows along the shortest alternating path from j
     back to i's column, so its excess is the reduced cost of (i, j) plus
-    that path's length. Columns left unused act as one hub: leaving any of
-    them for column b costs ``-v[b]``.
+    that path's length over reduced costs. Unused columns act as one hub:
+    leaving any of them for column b costs ``-v[b]``.
     """
     n, m = cost.shape
-    rows = np.arange(n)
-    # certificate: the excess of moving row i to column j with nothing
-    # fixed, its cost change plus the shortest path from j back to i's
-    # column; passing the tolerance at no smaller column means no row moves
-    move = cost - cost[rows, match][:, None]
-    leave = np.zeros((m, m))
-    leave[match] = move
-    excess = move + _column_distances(leave)[:, match].T
+    move, dist = _row_distances(cost, match)
+    node = np.full(m, n)
+    node[match] = np.arange(n)
+    # with no row fixed, row i taking column j costs move[i, j] plus the
+    # path from j back to i's column; if no smaller column gets within the
+    # tolerance that way, fixing rows cannot make one, and no row moves
+    excess = move + dist[node, :n].T
     if not ((excess <= tol) & (np.arange(m) < match[:, None])).any():
         return match
 
-    v = _column_potentials(cost, match)
+    v = _potentials(match, dist, m)
     reduced = _reduced(cost, match, v)
     owner = np.full(m, -1)
-    owner[match] = rows
+    owner[match] = np.arange(n)
     match = match.copy()
     free = np.ones(m, dtype=bool)
     spent = 0.0
@@ -185,13 +187,16 @@ def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray
             match[movers[real]] = np.asarray(path[1:])[real]
             match[i] = j
             free[j] = False
-            rest = np.flatnonzero(free)
-            pos = np.full(m, -1)
-            pos[rest] = np.arange(len(rest))
-            sub, sub_match = cost[i + 1:, rest], pos[match[i + 1:]]
-            v = np.zeros(m)
-            v[rest] = _column_potentials(sub, sub_match)
-            reduced[i + 1:] = _reduced(cost[i + 1:], match[i + 1:], v)
+            if i + 1 < n:
+                # fresh potentials for the rows still free to move
+                rest = np.flatnonzero(free)
+                pos = np.full(m, -1)
+                pos[rest] = np.arange(len(rest))
+                sub_match = pos[match[i + 1:]]
+                _, sub_dist = _row_distances(cost[i + 1:, rest], sub_match)
+                v = np.zeros(m)
+                v[rest] = _potentials(sub_match, sub_dist, len(rest))
+                reduced[i + 1:] = _reduced(cost[i + 1:], match[i + 1:], v)
             break
         free[match[i]] = False
     return match
