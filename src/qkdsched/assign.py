@@ -102,7 +102,7 @@ def solve_assignment(matrix: WeightMatrix, maximize: bool = True,
             "rows cannot all be matched to feasible columns") from exc
     total = float(cost[rows, cols].sum())
     tol = tie_tolerance(total - offset if maximize else total + offset)
-    return _lex_smallest(cost, cols.astype(np.int64), tol)
+    return _lex_smallest(cost, cols.astype(np.int64, copy=False), tol)
 
 
 def _row_distances(cost: np.ndarray, match: np.ndarray) -> tuple:
@@ -116,13 +116,13 @@ def _row_distances(cost: np.ndarray, match: np.ndarray) -> tuple:
     map leaves no negative cycle, so Floyd-Warshall over the n + 1 nodes
     settles the lengths, in memory quadratic in the rows.
     """
-    n, m = cost.shape
+    n = len(match)
     move = cost - cost[np.arange(n), match][:, None]
-    unused = np.ones(m, dtype=bool)
-    unused[match] = False
     dist = np.zeros((n + 1, n + 1))
     dist[:n, :n] = move[:, match]
-    dist[:n, n] = np.min(move[:, unused], axis=1, initial=np.inf)
+    into_unused = move.copy()
+    into_unused[:, match] = np.inf
+    dist[:n, n] = into_unused.min(axis=1)
     for k in range(n + 1):
         dist = np.minimum(dist, dist[:, k, None] + dist[k])
     return move, dist

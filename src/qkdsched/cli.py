@@ -9,8 +9,9 @@ Artifacts are assembled in a staging directory and moved into place with a
 single rename, so an interrupted run never leaves a half-written output
 tree behind, and a run that fails removes its staging directory. Each
 base schedule (rr, greedy) is computed once per run and shared with the
-opportunistic scheduler that takes its rate floors from it. All writers are deterministic: repeating a run with the same
-inputs reproduces every artifact byte for byte.
+opportunistic scheduler that takes its rate floors from it. All writers
+are deterministic: repeating a run with the same inputs reproduces every
+artifact byte for byte.
 """
 
 from __future__ import annotations

@@ -138,112 +138,137 @@ def _ranks(group: np.ndarray, flag: np.ndarray) -> np.ndarray:
     """Rank of each flagged item among the flagged items of its group;
     ``group`` is sorted."""
     before = np.cumsum(flag) - flag
-    first = np.searchsorted(group, group)
-    return before - before[first]
+    return before - before[np.searchsorted(group, group)]
 
 
 def slot_plan(estimates: EstimateTable) -> SlotPlan:
-    """The table's :class:`SlotPlan`, built on first use and cached."""
+    """The table's :class:`SlotPlan`, built on first use and cached; the
+    table's slots, links and capacities must not change afterwards."""
     if estimates._plan is None:
         estimates._plan = _build_plan(estimates)
     return estimates._plan
 
 
+def _copies(slot: np.ndarray, ids: np.ndarray, caps: np.ndarray, n_slots: int) -> tuple:
+    """Each row's first capacity copy of its satellite (or station) within
+    its slot, copies numbered in id order, and each slot's copy count."""
+    keys, inverse = np.unique(slot * len(caps) + ids, return_inverse=True)
+    cap, key_slot = caps[keys % len(caps)], keys // len(caps)
+    before = np.cumsum(cap) - cap
+    first = before - before[np.searchsorted(key_slot, key_slot)]
+    count = np.bincount(key_slot, weights=cap, minlength=n_slots).astype(np.int64)
+    return first[inverse], count
+
+
+def _cells(estimates: EstimateTable, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """One cell per (satellite copy, station copy) of every table row, as
+    global row and column numbers of the slots' matrices laid end to end,
+    with the table row of each cell and each slot's matrix shape.
+
+    Stations are the rows unless satellites have strictly fewer copies.
+    """
+    n_slots = len(lo)
+    slot = np.repeat(np.arange(n_slots), hi - lo)
+    sat_first, n_sat = _copies(slot, estimates.sat, estimates.transmitters, n_slots)
+    station_first, n_station = _copies(slot, estimates.station, estimates.receivers, n_slots)
+    tx = estimates.transmitters[estimates.sat]
+    rx = estimates.receivers[estimates.station]
+    row = np.repeat(np.arange(len(slot)), tx * rx)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(tx * rx) - tx * rx, tx * rx)
+    sat_copy = sat_first[row] + k // rx[row]
+    station_copy = station_first[row] + k % rx[row]
+    stations_are_rows = n_sat >= n_station
+    n_rows = np.where(stations_are_rows, n_station, n_sat)
+    n_cols = np.where(stations_are_rows, n_sat, n_station)
+    cell_slot = slot[row]
+    flip = stations_are_rows[cell_slot]
+    r = _exclusive_cumsum(n_rows)[cell_slot] + np.where(flip, station_copy, sat_copy)
+    c = _exclusive_cumsum(n_cols)[cell_slot] + np.where(flip, sat_copy, station_copy)
+    return r, c, row, n_rows, n_cols
+
+
+def _kept_rows(r: np.ndarray, c: np.ndarray, n_rows: np.ndarray,
+               n_cols: np.ndarray) -> np.ndarray:
+    """Which matrix rows each slot keeps: all of them, or where Hall's
+    condition fails, the rows its own maximum matching covers.
+
+    One matching of the block-diagonal graph of all slots sizes every
+    slot's maximum matching; only a slot short of rows runs its own, on
+    the same sorted CSR structure it would get from its dense matrix.
+    """
+    row_base, col_base = _exclusive_cumsum(n_rows), _exclusive_cumsum(n_cols)
+    graph = csr_matrix((np.ones(len(r), dtype=np.int8), (r, c)),
+                       shape=(row_base[-1], col_base[-1]))
+    graph.sort_indices()
+    row_slot = np.repeat(np.arange(len(n_rows)), n_rows)
+    covered = csgraph.maximum_bipartite_matching(graph, perm_type="column") >= 0
+    matched = np.bincount(row_slot, weights=covered, minlength=len(n_rows))
+    kept = np.ones(row_base[-1], dtype=bool)
+    for p in np.flatnonzero(matched < n_rows).tolist():
+        a, b = row_base[p], row_base[p + 1]
+        start, stop = graph.indptr[a], graph.indptr[b]
+        own = csr_matrix((graph.data[start:stop], graph.indices[start:stop] - col_base[p],
+                          graph.indptr[a:b + 1] - start), shape=(n_rows[p], n_cols[p]))
+        kept[a:b] = maximum_bipartite_matching(own, perm_type="column") >= 0
+    return kept
+
+
 def _build_plan(estimates: EstimateTable) -> SlotPlan:
     lo, hi = estimates.slot_spans()
     n_slots = len(lo)
-    size = hi - lo
-    p_of = np.repeat(np.arange(n_slots), size)          # occupied slot of each row
-    sat, station = estimates.sat, estimates.station
-    tx, rx = estimates.transmitters[sat], estimates.receivers[station]
+    r, c, row, n_rows, n_cols = _cells(estimates, lo, hi)
+    kept = _kept_rows(r, c, n_rows, n_cols)
+    n_r, n_c = len(kept), int(n_cols.sum())
 
-    # first capacity copy of each row's satellite and station within its slot
-    new_sat = np.ones(len(sat), dtype=bool)
-    new_sat[1:] = (p_of[1:] != p_of[:-1]) | (sat[1:] != sat[:-1])
-    sat_base = _exclusive_cumsum(np.where(new_sat, tx, 0))[:-1]
-    sat_first = sat_base[np.maximum.accumulate(np.where(new_sat, np.arange(len(sat)), 0))]
-    sat_copy = sat_first - sat_base[lo][p_of]
-    n_sat_copies = np.bincount(p_of, weights=np.where(new_sat, tx, 0),
-                               minlength=n_slots).astype(np.int64)
-    keys, link_station = np.unique(p_of * estimates.n_stations + station, return_inverse=True)
-    key_rx = estimates.receivers[keys % estimates.n_stations]
-    key_slot = keys // estimates.n_stations
-    key_base = _exclusive_cumsum(key_rx)[:-1]
-    key_copy = key_base - key_base[np.searchsorted(key_slot, key_slot)]
-    station_copy = key_copy[link_station]
-    n_station_copies = np.bincount(key_slot, weights=key_rx, minlength=n_slots).astype(np.int64)
-
-    # one matrix cell per (satellite copy, station copy) of every row
-    per_row = tx * rx
-    row_cells = _exclusive_cumsum(per_row)
-    cell_row = np.repeat(np.arange(len(sat)), per_row)
-    q = np.arange(len(cell_row)) - np.repeat(row_cells[:-1], per_row)
-    cell_sat = sat_copy[cell_row] + q // rx[cell_row]
-    cell_station = station_copy[cell_row] + q % rx[cell_row]
-    stations_are_rows = n_sat_copies >= n_station_copies
-    n_rows = np.where(stations_are_rows, n_station_copies, n_sat_copies)
-    n_cols = np.where(stations_are_rows, n_sat_copies, n_station_copies)
-    cell_p = p_of[cell_row]
-    flip = stations_are_rows[cell_p]
-    row_base, col_base = _exclusive_cumsum(n_rows), _exclusive_cumsum(n_cols)
-    r = row_base[cell_p] + np.where(flip, cell_station, cell_sat)
-    c = col_base[cell_p] + np.where(flip, cell_sat, cell_station)
-    n_r, n_c = int(row_base[-1]), int(col_base[-1])
-
-    # Hall's condition: the block-diagonal matching sizes every slot's maximum
-    # matching; a slot short of rows keeps the rows its own matching covers
-    graph = csr_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(n_r, n_c))
-    row_p = np.repeat(np.arange(n_slots), n_rows)
-    matched = np.bincount(row_p, weights=csgraph.maximum_bipartite_matching(
-        graph, perm_type="column") >= 0, minlength=n_slots)
-    kept = np.ones(n_r, dtype=bool)
-    for p in np.flatnonzero(matched < n_rows).tolist():
-        mine = slice(row_cells[lo[p]], row_cells[hi[p]])
-        feasible = np.zeros((n_rows[p], n_cols[p]), dtype=np.int8)
-        feasible[r[mine] - row_base[p], c[mine] - col_base[p]] = 1
-        match = maximum_bipartite_matching(csr_matrix(feasible), perm_type="column")
-        kept[row_base[p]:row_base[p + 1]] = match >= 0
-
-    # components of the kept rows; single-row ones form the lone block
+    # components of the kept rows' cells; single-row ones form the lone block
     keep = kept[r]
-    r, c, cell_p, local = r[keep], c[keep], cell_p[keep], cell_row[keep] - lo[cell_p[keep]]
+    r, c, row = r[keep], c[keep], row[keep]
     _, label = csgraph.connected_components(
         csr_matrix((np.ones(len(r), dtype=np.int8), (r, n_r + c)),
                    shape=(n_r + n_c, n_r + n_c)), directed=False)
-    comp_rows = np.bincount(label[:n_r][kept], minlength=n_r + n_c)
-    in_block = comp_rows[label] > 1                      # per node
+    in_block = np.bincount(label[:n_r][kept], minlength=n_r + n_c)[label] > 1
     used_col = np.zeros(n_c, dtype=bool)
     used_col[c] = True
-    col_p = np.repeat(np.arange(n_slots), n_cols)
 
-    def layout(nodes, node_p, node_used):
-        """Which used nodes go to the multi-row block, their ranks in that
-        block, in the lone block and in the slot, and the blocks' sizes."""
-        b = node_used & in_block[nodes]
-        l = node_used & ~in_block[nodes]
-        return (b, _ranks(node_p, b), _ranks(node_p, l), _ranks(node_p, node_used),
-                np.bincount(node_p[b], minlength=n_slots),
-                np.bincount(node_p[l], minlength=n_slots))
+    row_slot = np.repeat(np.arange(n_slots), n_rows)
+    col_slot = np.repeat(np.arange(n_slots), n_cols)
 
-    row_b, rb, rl, rk, block_rows, lone_rows = layout(np.arange(n_r), row_p, kept)
-    col_b, cb, cl, ck, block_cols, lone_cols = layout(n_r + np.arange(n_c), col_p, used_col)
+    def layout(nodes, node_slot, used):
+        """For one side's used nodes: which go to the multi-row block, their
+        ranks in that block, in the lone block and in the slot, and the
+        two blocks' sizes per slot."""
+        multi = used & in_block[nodes]
+        lone = used & ~in_block[nodes]
+        return (multi, _ranks(node_slot, multi), _ranks(node_slot, lone),
+                _ranks(node_slot, used), np.bincount(node_slot[multi], minlength=n_slots),
+                np.bincount(node_slot[lone], minlength=n_slots))
+
+    row_b, rb, rl, rk, block_rows, lone_rows = layout(np.arange(n_r), row_slot, kept)
+    col_b, cb, cl, ck, block_cols, lone_cols = layout(n_r + np.arange(n_c), col_slot, used_col)
+    cell_slot = row_slot[r]
+    local = (row - lo[cell_slot]).astype(np.int32)
     block_off = _exclusive_cumsum(block_rows * block_cols)
     lone_off = _exclusive_cumsum(lone_rows * lone_cols)
-    block = np.repeat(size, block_rows * block_cols).astype(np.int32)
-    lone = np.repeat(size, lone_rows * lone_cols).astype(np.int32)
+    block = np.repeat(hi - lo, block_rows * block_cols).astype(np.int32)
+    lone = np.repeat(hi - lo, lone_rows * lone_cols).astype(np.int32)
     b = row_b[r]
-    block[(block_off[cell_p] + rb[r] * block_cols[cell_p] + cb[c])[b]] = local[b]
-    lone[(lone_off[cell_p] + rl[r] * lone_cols[cell_p] + cl[c])[~b]] = local[~b]
+    block[(block_off[cell_slot] + rb[r] * block_cols[cell_slot] + cb[c])[b]] = local[b]
+    lone[(lone_off[cell_slot] + rl[r] * lone_cols[cell_slot] + cl[c])[~b]] = local[~b]
 
+    # where each block row and column sits in the kept matrix
     pos_off = _exclusive_cumsum(block_rows + lone_rows)
     col_off = _exclusive_cumsum(block_cols + lone_cols)
     row_pos = np.empty(pos_off[-1], dtype=np.int32)
-    row_pos[(pos_off[row_p] + np.where(row_b, rb, block_rows[row_p] + rl))[kept]] = rk[kept]
+    row_pos[(pos_off[row_slot] + np.where(row_b, rb, block_rows[row_slot] + rl))[kept]] = \
+        rk[kept]
     col_pos = np.empty(col_off[-1], dtype=np.int32)
-    col_pos[(col_off[col_p] + np.where(col_b, cb, block_cols[col_p] + cl))[used_col]] = \
+    col_pos[(col_off[col_slot] + np.where(col_b, cb, block_cols[col_slot] + cl))[used_col]] = \
         ck[used_col]
     return SlotPlan(lo, hi, block_rows, block_cols, lone_rows, lone_cols, block_off,
                     lone_off, pos_off, col_off, block, lone, row_pos, col_pos)
+
+
+_WORST = {True: np.array([-np.inf]), False: np.array([np.inf])}
 
 
 def _solve_slot(plan: SlotPlan, slot: tuple, weight: np.ndarray,
@@ -261,7 +286,7 @@ def _solve_slot(plan: SlotPlan, slot: tuple, weight: np.ndarray,
     Capacity copies of one link may both be chosen, so a row can repeat.
     """
     a, b, n_block, block_cols, n_lone, lone_cols, block_at, lone_at, _, _ = slot
-    w = np.append(weight, -np.inf if maximize else np.inf)   # padding entry
+    w = np.concatenate((weight, _WORST[maximize]))   # where no link exists
     if n_lone:
         lone = plan.lone[lone_at:lone_at + n_lone * lone_cols].reshape(n_lone, lone_cols)
         vals = w[lone]
@@ -282,11 +307,13 @@ def _solve_slot(plan: SlotPlan, slot: tuple, weight: np.ndarray,
         taken = lone[:0, 0]
         tol = tie_tolerance(offset) if n_lone > 1 else 0.0
     within = vals >= (best - tol)[:, None] if maximize else vals <= (best + tol)[:, None]
-    pick = within.argmax(axis=1)
-    excess = float(np.abs(vals[np.arange(n_lone), pick] - best).sum())
-    if excess > 0.0 and (n_block or excess > tol):
-        return _solve_kept(plan, slot, w, maximize)
-    return np.concatenate((taken, lone[np.arange(n_lone), pick]))
+    rows, pick = np.arange(n_lone), within.argmax(axis=1)
+    chosen = vals[rows, pick]
+    if (chosen != best).any():
+        excess = float(np.abs(chosen - best).sum())
+        if n_block or excess > tol:
+            return _solve_kept(plan, slot, w, maximize)
+    return np.concatenate((taken, lone[rows, pick]))
 
 
 def _solve_kept(plan: SlotPlan, slot: tuple, w: np.ndarray, maximize: bool) -> np.ndarray:
