@@ -6,17 +6,18 @@ one is lexicographically smallest in column index, row by row. Forbidden
 pairs are carried as an explicit boolean mask, never as large sentinel
 costs, so the weights stay numerically clean.
 
-The refinement needs one solve. Column potentials taken from the residual
-graph of the optimal map give every feasible edge a nonnegative reduced
-cost, zero on the map, and the excess of any assignment over the optimum
-is a sum of such reduced costs (complementary slackness for the assignment
-LP; Burkard, Dell'Amico & Martello, *Assignment Problems*, SIAM 2009,
-ch. 4). Rows are then fixed in order: each takes the smallest column whose
-cheapest completion stays within the tie tolerance, and each candidate is
-priced by one shortest alternating path over the reduced costs instead of
-a re-solve. When no smaller column has a reduced cost within tolerance,
-which is the usual case for float weights, the solver's map is returned as
-it is.
+The refinement needs one solve. Shortest alternating paths in the residual
+graph of the optimal map price every move a row could make; when no row
+can take a smaller column within the tie tolerance, which is the usual
+case for float weights, the solver's map is returned as it is. Otherwise
+column potentials from the same paths give every feasible edge a
+nonnegative reduced cost, zero on the map, and the excess of any
+assignment over the optimum is a sum of such reduced costs (complementary
+slackness for the assignment LP; Burkard, Dell'Amico & Martello,
+*Assignment Problems*, SIAM 2009, ch. 4). Rows are then fixed in order:
+each takes the smallest column whose cheapest completion stays within the
+tolerance, and each candidate is priced by one shortest alternating path
+over the reduced costs instead of a re-solve.
 """
 
 from __future__ import annotations

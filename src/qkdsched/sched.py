@@ -281,9 +281,11 @@ def _solve_slot(plan: SlotPlan, slot: tuple, weight: np.ndarray,
     and the multi-row components go to :func:`solve_assignment` together,
     as one block-diagonal matrix. The tie tolerance is the whole slot's
     (``tie_tolerance`` of the summed optima; zero for a one-row slot).
-    Slack spent on near-ties is shared across the slot; in the rare case
-    that lone rows spend some, the kept matrix is solved whole instead.
-    Capacity copies of one link may both be chosen, so a row can repeat.
+    Slack spent on near-ties is shared across the slot, so in the rare
+    case that lone rows spend some next to a multi-row block, or more than
+    the tolerance among themselves, the kept matrix is solved whole
+    instead. Capacity copies of one link may both be chosen, so a row can
+    repeat.
     """
     a, b, n_block, block_cols, n_lone, lone_cols, block_at, lone_at, _, _ = slot
     w = np.concatenate((weight, _WORST[maximize]))   # where no link exists
