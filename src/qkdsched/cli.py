@@ -222,13 +222,14 @@ def _cmd_run(args) -> int:
             fh.write("\n")
         if args.dump_estimates:
             write_estimates_csv(table, staging / "estimates.csv")
-        if out.exists():
-            shutil.rmtree(out)
-        staging.rename(out)
     except BaseException:
         # an aborted run leaves neither a staging tree nor a partial output
         shutil.rmtree(staging, ignore_errors=True)
         raise
+    # the staging tree is complete: if the swap fails, it stays in place
+    if out.exists():
+        shutil.rmtree(out)
+    staging.rename(out)
     print(f"wrote {len(names)} scheduler run(s) to {out}")
     return 0
 

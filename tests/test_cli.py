@@ -211,6 +211,23 @@ def test_failed_run_removes_staging(tmp_path, monkeypatch):
     assert not (tmp_path / "out.staging").exists()
 
 
+def test_failed_swap_keeps_complete_staging(tmp_path, monkeypatch):
+    # once every artifact is staged, a failed final rename must not delete
+    # the finished run along with the output it replaced
+    table = str(_synth(tmp_path))
+    out = tmp_path / "out"
+    argv = ["run", "--table", table, "--schedulers", "rr,greedy", "--out", str(out)]
+    assert main(argv) == 0
+    finished = _tree(out)
+
+    def broken(self, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(Path, "rename", broken)
+    assert main([*argv, "--force"]) == 2
+    assert _tree(tmp_path / "out.staging") == finished
+
+
 @pytest.mark.parametrize("base", ["rr", "greedy"])
 def test_base_schedule_computed_once(tmp_path, monkeypatch, base):
     import qkdsched.cli as cli
