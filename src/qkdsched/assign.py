@@ -62,22 +62,14 @@ class WeightMatrix:
             raise ValueError("non-finite weight on a feasible edge")
 
 
-def tie_tolerance(total: float) -> float:
-    """Slack within which two assignment totals near ``total`` count as tied."""
-    return _REL_TOL * max(1.0, abs(total))
-
-
-def solve_assignment(matrix: WeightMatrix, maximize: bool = True,
-                     offset: float = 0.0) -> np.ndarray:
+def solve_assignment(matrix: WeightMatrix, maximize: bool = True) -> np.ndarray:
     """Optimal row -> column map, lexicographically smallest among optima.
 
     With ``maximize`` False the total weight is minimized instead. Two
-    totals within :func:`tie_tolerance` of the optimum count as tied; a
-    one-row matrix takes the first column of exactly optimal weight.
-    ``offset`` is the optimal weight of rows solved elsewhere as part of
-    the same problem (a slot's other components); it only scales the
-    tolerance. Raises :class:`AssignmentInfeasibleError` when some row has
-    no feasible column or no complete matching of the rows exists.
+    totals within ``_REL_TOL`` of the optimum, relative to it, count as
+    tied; a one-row matrix takes the first column of exactly optimal weight.
+    Raises :class:`AssignmentInfeasibleError` when some row has no feasible
+    column or no complete matching of the rows exists.
     """
     w = matrix.weights
     n_rows, n_cols = w.shape
@@ -102,7 +94,7 @@ def solve_assignment(matrix: WeightMatrix, maximize: bool = True,
         raise AssignmentInfeasibleError(
             "rows cannot all be matched to feasible columns") from exc
     total = float(cost[rows, cols].sum())
-    tol = tie_tolerance(total - offset if maximize else total + offset)
+    tol = _REL_TOL * max(1.0, abs(total))
     return _lex_smallest(cost, cols.astype(np.int64, copy=False), tol)
 
 

@@ -13,12 +13,12 @@ into served triples and key pools.
 
 Round-robin and the opportunistic passes solve one assignment per slot.
 What does not depend on the weights is planned once per table
-(:func:`slot_plan`): each slot's capacity-copy matrix, the rows kept where
-Hall's condition fails, and the connected components of those rows. Each
-slot is then solved component-wise by :func:`_solve_slot` under the whole
-slot's tie tolerance. Known limitation: in a slot that violates Hall's
-condition, the plan keeps whichever rows ``maximum_bipartite_matching``
-matches, whatever their weights.
+(:func:`slot_plan`): each slot's capacity-copy matrix, cut down to the
+rows kept where Hall's condition fails and the columns they reach. Each
+pass then only gathers a slot's weights into its kept matrix and solves
+it (:func:`_solve_slot`). Known limitation: in a slot that violates
+Hall's condition, the plan keeps whichever rows
+``maximum_bipartite_matching`` matches, whatever their weights.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .assign import WeightMatrix, solve_assignment, tie_tolerance
+from .assign import WeightMatrix, solve_assignment
 from .channel import EstimateTable
 
 
@@ -95,39 +95,19 @@ class SlotPlan:
 
     Slot p spans table rows ``[lo[p], hi[p])``. Its assignment matrix has a
     row per station capacity copy and a column per satellite copy, or the
-    transpose when satellites have strictly fewer copies. The rows kept are
-    all of them or, where Hall's condition fails, the rows of one maximum
-    matching; they fall into connected components that share no column.
-    The multi-row components form one dense ``block`` of shape
-    ``(block_rows[p], block_cols[p])``, the single-row ones a dense block
-    ``lone`` of shape ``(lone_rows[p], lone_cols[p])``; both start at
-    ``block_off[p]``/``lone_off[p]`` and hold slot-local table rows, with
-    ``hi[p] - lo[p]`` where no link exists. ``row_pos``/``col_pos`` give
-    the position of every block row and column (the multi-row block's
-    first) in the kept matrix, from ``pos_off[p]``/``col_off[p]``, for a
-    whole-slot solve.
+    transpose when satellites have strictly fewer copies. The plan keeps
+    all rows or, where Hall's condition fails, the rows of one maximum
+    matching, and the columns those rows reach. The kept matrix, of shape
+    ``(rows[p], cols[p])``, starts at ``off[p]`` in ``kept`` and holds
+    slot-local table rows, with ``hi[p] - lo[p]`` where no link exists.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    block_rows: np.ndarray
-    block_cols: np.ndarray
-    lone_rows: np.ndarray
-    lone_cols: np.ndarray
-    block_off: np.ndarray
-    lone_off: np.ndarray
-    pos_off: np.ndarray
-    col_off: np.ndarray
-    block: np.ndarray
-    lone: np.ndarray
-    row_pos: np.ndarray
-    col_pos: np.ndarray
-
-    def slots(self) -> list:
-        """Per occupied slot, the plain-int tuple :func:`_solve_slot` takes."""
-        return list(zip(*(a.tolist() for a in (
-            self.lo, self.hi, self.block_rows, self.block_cols, self.lone_rows,
-            self.lone_cols, self.block_off, self.lone_off, self.pos_off, self.col_off))))
+    rows: np.ndarray
+    cols: np.ndarray
+    off: np.ndarray
+    kept: np.ndarray
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -218,119 +198,36 @@ def _build_plan(estimates: EstimateTable) -> SlotPlan:
     n_slots = len(lo)
     r, c, row, n_rows, n_cols = _cells(estimates, lo, hi)
     kept = _kept_rows(r, c, n_rows, n_cols)
-    n_r, n_c = len(kept), int(n_cols.sum())
-
-    # components of the kept rows' cells; single-row ones form the lone block
     keep = kept[r]
     r, c, row = r[keep], c[keep], row[keep]
-    _, label = csgraph.connected_components(
-        csr_matrix((np.ones(len(r), dtype=np.int8), (r, n_r + c)),
-                   shape=(n_r + n_c, n_r + n_c)), directed=False)
-    in_block = np.bincount(label[:n_r][kept], minlength=n_r + n_c)[label] > 1
-    used_col = np.zeros(n_c, dtype=bool)
-    used_col[c] = True
-
+    used = np.zeros(int(n_cols.sum()), dtype=bool)
+    used[c] = True
     row_slot = np.repeat(np.arange(n_slots), n_rows)
     col_slot = np.repeat(np.arange(n_slots), n_cols)
-
-    def layout(nodes, node_slot, used):
-        """For one side's used nodes: which go to the multi-row block, their
-        ranks in that block, in the lone block and in the slot, and the
-        two blocks' sizes per slot."""
-        multi = used & in_block[nodes]
-        lone = used & ~in_block[nodes]
-        return (multi, _ranks(node_slot, multi), _ranks(node_slot, lone),
-                _ranks(node_slot, used), np.bincount(node_slot[multi], minlength=n_slots),
-                np.bincount(node_slot[lone], minlength=n_slots))
-
-    row_b, rb, rl, rk, block_rows, lone_rows = layout(np.arange(n_r), row_slot, kept)
-    col_b, cb, cl, ck, block_cols, lone_cols = layout(n_r + np.arange(n_c), col_slot, used_col)
+    rows = np.bincount(row_slot[kept], minlength=n_slots)
+    cols = np.bincount(col_slot[used], minlength=n_slots)
+    off = _exclusive_cumsum(rows * cols)
+    matrix = np.repeat(hi - lo, rows * cols).astype(np.int32)
     cell_slot = row_slot[r]
-    local = (row - lo[cell_slot]).astype(np.int32)
-    block_off = _exclusive_cumsum(block_rows * block_cols)
-    lone_off = _exclusive_cumsum(lone_rows * lone_cols)
-    block = np.repeat(hi - lo, block_rows * block_cols).astype(np.int32)
-    lone = np.repeat(hi - lo, lone_rows * lone_cols).astype(np.int32)
-    b = row_b[r]
-    block[(block_off[cell_slot] + rb[r] * block_cols[cell_slot] + cb[c])[b]] = local[b]
-    lone[(lone_off[cell_slot] + rl[r] * lone_cols[cell_slot] + cl[c])[~b]] = local[~b]
-
-    # where each block row and column sits in the kept matrix
-    pos_off = _exclusive_cumsum(block_rows + lone_rows)
-    col_off = _exclusive_cumsum(block_cols + lone_cols)
-    row_pos = np.empty(pos_off[-1], dtype=np.int32)
-    row_pos[(pos_off[row_slot] + np.where(row_b, rb, block_rows[row_slot] + rl))[kept]] = \
-        rk[kept]
-    col_pos = np.empty(col_off[-1], dtype=np.int32)
-    col_pos[(col_off[col_slot] + np.where(col_b, cb, block_cols[col_slot] + cl))[used_col]] = \
-        ck[used_col]
-    return SlotPlan(lo, hi, block_rows, block_cols, lone_rows, lone_cols, block_off,
-                    lone_off, pos_off, col_off, block, lone, row_pos, col_pos)
+    matrix[off[cell_slot] + _ranks(row_slot, kept)[r] * cols[cell_slot]
+           + _ranks(col_slot, used)[c]] = row - lo[cell_slot]
+    return SlotPlan(lo, hi, rows, cols, off, matrix)
 
 
-_WORST = {True: np.array([-np.inf]), False: np.array([np.inf])}
+def _solve_slot(plan: SlotPlan, p: int, weight: np.ndarray, maximize: bool) -> np.ndarray:
+    """Slot-local table rows that an optimal assignment of planned slot
+    ``p`` serves, given one weight per row of the slot.
 
-
-def _solve_slot(plan: SlotPlan, slot: tuple, weight: np.ndarray,
-                maximize: bool) -> np.ndarray:
-    """Slot-local table rows that an optimal assignment of one planned slot
-    serves, given one weight per row of the slot.
-
-    Components share no column, so they are solved apart: each single-row
-    component takes its first column within tolerance of its best weight,
-    and the multi-row components go to :func:`solve_assignment` together,
-    as one block-diagonal matrix. The tie tolerance is the whole slot's
-    (``tie_tolerance`` of the summed optima; zero for a one-row slot).
-    Slack spent on near-ties is shared across the slot, so in the rare
-    case that lone rows spend some next to a multi-row block, or more than
-    the tolerance among themselves, the kept matrix is solved whole
-    instead. Capacity copies of one link may both be chosen, so a row can
-    repeat.
+    The slot's kept matrix is solved whole, so ties are broken under the
+    tolerance of the whole slot's optimum, as an unplanned solve would.
+    Capacity copies of one link may both be chosen, so a row can repeat.
     """
-    a, b, n_block, block_cols, n_lone, lone_cols, block_at, lone_at, _, _ = slot
-    w = np.concatenate((weight, _WORST[maximize]))   # where no link exists
-    if n_lone:
-        lone = plan.lone[lone_at:lone_at + n_lone * lone_cols].reshape(n_lone, lone_cols)
-        vals = w[lone]
-        best = vals.max(axis=1) if maximize else vals.min(axis=1)
-        offset = float(best.sum())
-    else:
-        offset = 0.0
-    if n_block:
-        block = plan.block[block_at:block_at + n_block * block_cols].reshape(n_block,
-                                                                            block_cols)
-        cols = solve_assignment(WeightMatrix(weights=w[block], feasible=block < b - a),
-                                maximize=maximize, offset=offset)
-        taken = block[np.arange(n_block), cols]
-        if not n_lone:
-            return taken
-        tol = tie_tolerance(offset + float(w[taken].sum()))
-    else:
-        taken = lone[:0, 0]
-        tol = tie_tolerance(offset) if n_lone > 1 else 0.0
-    within = vals >= (best - tol)[:, None] if maximize else vals <= (best + tol)[:, None]
-    rows, pick = np.arange(n_lone), within.argmax(axis=1)
-    chosen = vals[rows, pick]
-    if (chosen != best).any():
-        excess = float(np.abs(chosen - best).sum())
-        if n_block or excess > tol:
-            return _solve_kept(plan, slot, w, maximize)
-    return np.concatenate((taken, lone[rows, pick]))
-
-
-def _solve_kept(plan: SlotPlan, slot: tuple, w: np.ndarray, maximize: bool) -> np.ndarray:
-    """The slot's kept matrix reassembled from its blocks and solved whole."""
-    a, b, n_block, block_cols, n_lone, lone_cols, block_at, lone_at, pos_at, col_at = slot
-    kept = np.full((n_block + n_lone, block_cols + lone_cols), b - a)
-    rows = plan.row_pos[pos_at:pos_at + n_block + n_lone]
-    cols = plan.col_pos[col_at:col_at + block_cols + lone_cols]
-    kept[np.ix_(rows[:n_block], cols[:block_cols])] = \
-        plan.block[block_at:block_at + n_block * block_cols].reshape(n_block, block_cols)
-    kept[np.ix_(rows[n_block:], cols[block_cols:])] = \
-        plan.lone[lone_at:lone_at + n_lone * lone_cols].reshape(n_lone, lone_cols)
-    choice = solve_assignment(WeightMatrix(weights=w[kept], feasible=kept < b - a),
-                              maximize=maximize)
-    return kept[np.arange(len(kept)), choice]
+    at, n, m = int(plan.off[p]), int(plan.rows[p]), int(plan.cols[p])
+    kept = plan.kept[at:at + n * m].reshape(n, m)
+    choice = solve_assignment(
+        WeightMatrix(weights=np.append(weight, 0.0)[kept], feasible=kept < len(weight)),
+        maximize=maximize)
+    return kept[np.arange(n), choice]
 
 
 def run_rr(estimates: EstimateTable) -> Schedule:
@@ -348,11 +245,10 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     served[plan.lo[single]] = True
     counters = np.bincount(link[plan.lo[single]],
                            minlength=estimates.n_sats * estimates.n_stations).astype(float)
-    for slot, direct in zip(plan.slots(), single.tolist()):
-        if direct:
+    for p, (a, b) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
+        if b - a == 1:
             continue
-        a, b = slot[:2]
-        rows = a + _solve_slot(plan, slot, counters[link[a:b]], maximize=False)
+        rows = a + _solve_slot(plan, p, counters[link[a:b]], maximize=False)
         served[rows] = True
         # a repeated row (two capacity copies of one link) counts once
         counters[link[rows]] += 1.0
@@ -438,15 +334,14 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     lam = np.zeros(estimates.n_sats * estimates.n_stations)
     norm = estimates.normalizer
     plan = slot_plan(estimates)
-    slots = plan.slots()
+    spans = list(enumerate(zip(plan.lo.tolist(), plan.hi.tolist())))
     converged = False
     for passes in range(1, max_passes + 1):
         lam_start = lam.copy()
         served = np.zeros(len(estimates), dtype=bool)
-        for slot in slots:
-            a, b = slot[:2]
+        for p, (a, b) in spans:
             l, bits = link[a:b], estimates.key_bits[a:b]
-            served[a + _solve_slot(plan, slot, (1.0 + lam[l]) * bits / norm,
+            served[a + _solve_slot(plan, p, (1.0 + lam[l]) * bits / norm,
                                    maximize=True)] = True
             u, r = bits / norm, target[l]
             lam[l] = np.maximum(0.0, np.where(served[a:b], lam[l] - delta * (u - r),

@@ -126,33 +126,20 @@ def _near_tie_weights(rng, shape, integer):
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 4),
-       st.booleans(), st.booleans(), st.booleans())
-def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer,
-                                         maximize, with_offset):
-    """The dual-certified tie rule picks the map the re-solve loop picks.
-
-    ``offset`` is checked against the oracle on the block-diagonal matrix
-    with one extra forced row of that weight, whose optimum it stands for.
-    """
+       st.booleans(), st.booleans())
+def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maximize):
+    """The dual-certified tie rule picks the map the re-solve loop picks."""
     rng = np.random.default_rng(seed)
     n_cols = n_rows + extra_cols
     weights = _near_tie_weights(rng, (n_rows, n_cols), integer)
     feasible = rng.random((n_rows, n_cols)) < rng.uniform(0.3, 1.0)
     feasible[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] = True
-    offset = float(rng.choice([3.0, 40.0, 1e3])) if with_offset and n_rows > 1 else 0.0
-    whole_w = np.zeros((n_rows + 1, n_cols + 1))
-    whole_w[:n_rows, :n_cols] = weights
-    whole_w[n_rows, n_cols] = offset
-    whole_f = np.zeros((n_rows + 1, n_cols + 1), dtype=bool)
-    whole_f[:n_rows, :n_cols] = feasible
-    whole_f[n_rows, n_cols] = True
     matrix = WeightMatrix(weights=weights, feasible=feasible)
-    oracle = WeightMatrix(weights=whole_w, feasible=whole_f) if offset else matrix
     try:
-        want = reference_solve_assignment(oracle, maximize=maximize)[:n_rows]
+        want = reference_solve_assignment(matrix, maximize=maximize)
     except AssignmentInfeasibleError:
         with pytest.raises(AssignmentInfeasibleError):
-            solve_assignment(matrix, maximize=maximize, offset=offset)
+            solve_assignment(matrix, maximize=maximize)
         return
-    got = solve_assignment(matrix, maximize=maximize, offset=offset)
-    assert got.tolist() == want.tolist(), (weights, feasible, maximize, offset)
+    got = solve_assignment(matrix, maximize=maximize)
+    assert got.tolist() == want.tolist(), (weights, feasible, maximize)

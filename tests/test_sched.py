@@ -290,7 +290,7 @@ def test_schedulers_match_reference(rng, monkeypatch):
     assert fallbacks and zero_bit_served and two_capacity
 
 
-def _split_case(rng):
+def _slot_case(rng):
     """A table whose slots mix a heavy link, lone stations with near-ties
     and tied integer weights, under capacities of one and two."""
     n_sats, n_stations = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -308,8 +308,8 @@ def _split_case(rng):
                         w = float(rng.integers(0, 3))
                     else:
                         # a near-tie: the nudge is around the tolerance of a
-                        # slot holding the heavy link, far above that of a
-                        # component of weight ~1
+                        # slot holding the heavy link, far above that of the
+                        # station's own links
                         w = 1.0 + heavy * 1e-9 * float(rng.uniform(-1.5, 1.5))
                     weights[(t, s, g)] = w
     table = make_table(8, n_sats, n_stations, rows,
@@ -321,37 +321,31 @@ def _split_case(rng):
 
 
 def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
-    """Solving a slot's components apart, under the slot-wide tolerance,
-    serves the links the whole-slot re-solve serves.
+    """Solving a slot from its plan serves the links the unplanned
+    whole-slot re-solve serves.
 
     The cases cover Hall-failing slots, slots with several components
     (lone stations next to multi-row ones), capacities of two, integer
-    ties, and near-ties that only the slot-wide tolerance treats as ties;
-    some slots break more near-ties than the tolerance allows at once, so
-    the whole-slot solve runs too.
+    ties, and near-ties that only the whole slot's tolerance treats as
+    ties.
     """
-    hall, kept_solves = [], []
+    hall = []
     matching = sched.maximum_bipartite_matching
     monkeypatch.setattr(sched, "maximum_bipartite_matching",
                         lambda *a, **k: hall.append(1) or matching(*a, **k))
-    solve_kept = sched._solve_kept
-    monkeypatch.setattr(sched, "_solve_kept",
-                        lambda *a, **k: kept_solves.append(1) or solve_kept(*a, **k))
-    mixed = two_capacity = 0
+    two_capacity = 0
     for trial in range(150):
-        table, weight = _split_case(rng)
+        table, weight = _slot_case(rng)
         plan = sched.slot_plan(table)
         two_capacity += int(table.transmitters.max() == 2 or table.receivers.max() == 2)
-        for slot in plan.slots():
-            a, b = slot[:2]
-            mixed += int(slot[2] > 0 and slot[4] > 0)
+        for p, (a, b) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
             by_link = {(int(s), int(g)): w for s, g, w in
                        zip(table.sat[a:b], table.station[a:b], weight[a:b])}
             view = _ReferenceSlotView(table, np.arange(a, b))
             for maximize in (True, False):
-                rows = a + sched._solve_slot(plan, slot, weight[a:b], maximize)
+                rows = a + sched._solve_slot(plan, p, weight[a:b], maximize)
                 got = sorted(set(zip(table.sat[rows].tolist(), table.station[rows].tolist())))
                 want = sorted(_reference_solve_slot(view, lambda s, g: by_link[(s, g)],
                                                     maximize))
                 assert got == want, (trial, a, maximize)
-    assert hall and kept_solves and mixed and two_capacity
+    assert hall and two_capacity
