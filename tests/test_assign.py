@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkdsched.assign import (AssignmentInfeasibleError, WeightMatrix,
                              assignment_value, solve_assignment)
@@ -126,14 +126,28 @@ def _near_tie_weights(rng, shape, integer):
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 4),
-       st.booleans(), st.booleans())
-def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maximize):
-    """The dual-certified tie rule picks the map the re-solve loop picks."""
+       st.booleans(), st.booleans(), st.booleans())
+# rows that already moved along a path move again: stale potentials fail these
+@example(16, 5, 2, False, False, True)
+@example(18, 5, 2, False, True, False)
+def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maximize,
+                                         with_heavy):
+    """The dual-certified tie rule picks the map the re-solve loop picks.
+
+    A heavy row, forced onto a column of its own, widens the tolerance
+    far beyond the nudges, so several rows may spend slack on near-ties.
+    """
     rng = np.random.default_rng(seed)
     n_cols = n_rows + extra_cols
     weights = _near_tie_weights(rng, (n_rows, n_cols), integer)
     feasible = rng.random((n_rows, n_cols)) < rng.uniform(0.3, 1.0)
     feasible[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] = True
+    if with_heavy:
+        heavy = float(rng.choice([3.0, 40.0, 1e3]))
+        weights = np.pad(weights, ((0, 1), (0, 1)))
+        weights[n_rows, n_cols] = heavy
+        feasible = np.pad(feasible, ((0, 1), (0, 1)))
+        feasible[n_rows, n_cols] = True
     matrix = WeightMatrix(weights=weights, feasible=feasible)
     try:
         want = reference_solve_assignment(matrix, maximize=maximize)
