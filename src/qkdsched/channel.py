@@ -9,8 +9,8 @@ consumes, so filtering or editing it changes all of them consistently.
 
 from __future__ import annotations
 
-import csv
-import math
+import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,51 +256,120 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
 
 _CSV_HEADER = ["slot", "satellite_id", "station_id", "transmissivity",
                "successes", "qber", "key_rate", "cloud", "key_bits"]
+_CSV_DTYPE = np.dtype([(name, np.int64) for name in _CSV_HEADER[:3]]
+                      + [(name, np.float64) for name in _CSV_HEADER[3:]])
+# rows formatted per write; bounds the strings held at once
+_WRITE_CHUNK_ROWS = 65536
 
 
-def write_estimates_csv(table: EstimateTable, path) -> None:
-    """One row per estimated triple, raw ids, deterministic order."""
-    columns = [table.slot.tolist(), table.sat_ids[table.sat].tolist(),
-               table.station_ids[table.station].tolist()]
-    # repr of a tolist() float is repr(float(x)): the shortest round-trip text
-    columns += [map(repr, a.tolist()) for a in
-                (table.transmissivity, table.successes, table.qber, table.rate,
-                 table.cloud, table.key_bits)]
+def write_estimates_csv(table: EstimateTable, path, *, metadata: bool = True) -> None:
+    """One row per estimated triple, raw ids, deterministic order.
+
+    Lines end in CRLF and floats are written as their shortest round-trip
+    ``repr``. With ``metadata``, a leading ``#`` line holds JSON with the
+    table's ``n_slots``, ids and link capacities, which
+    :func:`read_estimates_csv` restores.
+    """
+    ints = (table.slot, table.sat_ids[table.sat], table.station_ids[table.station])
+    floats = (table.transmissivity, table.successes, table.qber, table.rate,
+              table.cloud, table.key_bits)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_HEADER)
-        w.writerows(zip(*columns))
+        if metadata:
+            fh.write("#" + json.dumps({
+                "n_slots": int(table.n_slots),
+                "sat_ids": table.sat_ids.tolist(),
+                "station_ids": table.station_ids.tolist(),
+                "transmitters": table.transmitters.tolist(),
+                "receivers": table.receivers.tolist(),
+            }) + "\r\n")
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for a in range(0, len(table), _WRITE_CHUNK_ROWS):
+            part = slice(a, a + _WRITE_CHUNK_ROWS)
+            # repr of a tolist() float is repr(float(x)): the shortest round-trip text
+            columns = ([map(str, c[part].tolist()) for c in ints]
+                       + [map(repr, c[part].tolist()) for c in floats])
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
+            fh.write("\r\n")
 
 
 def read_estimates_csv(path) -> EstimateTable:
     """Rebuild an estimate table written by :func:`write_estimates_csv`.
 
-    Ids are remapped to dense positional indices in sorted-id order; every
-    link capacity is one.
+    A leading ``#`` metadata line restores the slot count, the ids in their
+    positional order and the link capacities. Without it, ids are remapped
+    to dense positional indices in sorted-id order, the slot count ends at
+    the last occupied slot and every link capacity is one. A wrong header,
+    a row that does not parse as three integers and six floats, and a table
+    without rows are errors.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_HEADER:
+    with open(path) as fh:
+        line = fh.readline()
+        meta = _read_metadata(line, path) if line.startswith("#") else {}
+        if meta:
+            line = fh.readline()
+        if line.rstrip("\n").split(",") != _CSV_HEADER:
             raise ValueError(f"{path}: expected columns {_CSV_HEADER}")
-        for row in reader:
-            rows.append((int(row["slot"]), int(row["satellite_id"]),
-                         int(row["station_id"]), float(row["transmissivity"]),
-                         float(row["successes"]), float(row["qber"]),
-                         float(row["key_rate"]), float(row["cloud"]),
-                         float(row["key_bits"])))
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_DTYPE, comments=None,
+                                  ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not len(rows):
         raise ValueError(f"{path}: empty estimate table")
-    arr = np.array(rows, dtype=float)
-    sat_ids = np.unique(arr[:, 1].astype(np.int64))
-    station_ids = np.unique(arr[:, 2].astype(np.int64))
-    sat_idx = np.searchsorted(sat_ids, arr[:, 1].astype(np.int64))
-    g_idx = np.searchsorted(station_ids, arr[:, 2].astype(np.int64))
-    n_slots = int(arr[:, 0].max()) + 1
+    slot = rows["slot"]
+    n_slots = meta.get("n_slots", int(slot.max()) + 1)
+    if slot.min() < 0 or slot.max() >= n_slots:
+        raise ValueError(f"{path}: slots must lie in [0, {n_slots})")
+    sat_ids, sat = _dense_ids(rows["satellite_id"], meta.get("sat_ids"), "satellite", path)
+    station_ids, station = _dense_ids(rows["station_id"], meta.get("station_ids"),
+                                      "station", path)
     return EstimateTable(
         n_slots=n_slots, n_sats=len(sat_ids), n_stations=len(station_ids),
-        slot=arr[:, 0].astype(np.int64), sat=sat_idx, station=g_idx,
-        transmissivity=arr[:, 3], successes=arr[:, 4], qber=arr[:, 5],
-        rate=arr[:, 6], cloud=arr[:, 7], key_bits=arr[:, 8],
+        slot=slot, sat=sat, station=station,
+        transmissivity=rows["transmissivity"], successes=rows["successes"],
+        qber=rows["qber"], rate=rows["key_rate"], cloud=rows["cloud"],
+        key_bits=rows["key_bits"],
+        transmitters=meta.get("transmitters"), receivers=meta.get("receivers"),
         sat_ids=sat_ids, station_ids=station_ids,
     )
+
+
+def _reject_float(text: str):
+    raise ValueError(f"non-integer {text}")
+
+
+def _read_metadata(line: str, path) -> dict:
+    """The ``#`` line's slot count, and its ids and capacities as int64 arrays."""
+    try:
+        raw = json.loads(line[1:], parse_float=_reject_float)
+        meta = {"n_slots": int(raw["n_slots"])}
+        for key in ("sat_ids", "station_ids", "transmitters", "receivers"):
+            meta[key] = np.array(raw[key], dtype=np.int64)
+            if meta[key].ndim != 1:
+                raise TypeError(f"'{key}' is not a list")
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad metadata line: {exc}") from None
+    for ids, caps in (("sat_ids", "transmitters"), ("station_ids", "receivers")):
+        if len(meta[ids]) != len(meta[caps]):
+            raise ValueError(f"{path}: metadata needs one '{caps}' entry per '{ids}' entry")
+        if len(np.unique(meta[ids])) != len(meta[ids]):
+            raise ValueError(f"{path}: metadata repeats an id in '{ids}'")
+        if np.any(meta[caps] < 1):
+            raise ValueError(f"{path}: metadata '{caps}' must be at least 1")
+    return meta
+
+
+def _dense_ids(column: np.ndarray, ids, what: str, path) -> tuple:
+    """The id array and each row's position in it: ``ids`` when given, else
+    the column's distinct ids in sorted order."""
+    values, inverse = np.unique(column, return_inverse=True)
+    if ids is None:
+        return values, inverse
+    unknown = values[~np.isin(values, ids)]
+    if len(unknown):
+        raise ValueError(f"{path}: {what} id {unknown[0]} is not in the metadata line")
+    order = np.argsort(ids)
+    return ids, order[np.searchsorted(ids, values, sorter=order)][inverse]

@@ -292,7 +292,9 @@ def _cmd_synth(args) -> int:
         transmissivity=successes / 2.5e8, successes=successes, qber=qber,
         rate=rate, cloud=np.zeros(len(rows)), key_bits=successes * rate,
     )
-    write_estimates_csv(table, args.out)
+    # ids are dense and every capacity is one, so the bare format (without
+    # the metadata line) reads back the same table up to trailing empty slots
+    write_estimates_csv(table, args.out, metadata=False)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

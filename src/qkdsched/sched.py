@@ -255,6 +255,17 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     return Schedule.from_mask(estimates, served, {"scheduler": "rr"})
 
 
+def _slot_local(slot: np.ndarray, ids: np.ndarray, caps: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Each row's index among the distinct satellites (or stations) of its
+    slot, in id order; the capacity of every (slot, id), in table order; and
+    where each occupied slot's entries of it start, with a final stop."""
+    keys, inverse = np.unique(slot * len(caps) + ids, return_inverse=True)
+    first = np.minimum.reduceat(inverse, lo) if len(lo) else lo
+    return (inverse - np.repeat(first, hi - lo), caps[keys % len(caps)],
+            np.append(first, len(keys)))
+
+
 def run_greedy(estimates: EstimateTable) -> Schedule:
     """Stations bid for their best-rate satellite; poorer pools win fights.
 
@@ -268,10 +279,18 @@ def run_greedy(estimates: EstimateTable) -> Schedule:
     pool = np.zeros(estimates.n_sats * estimates.n_stations)
     served = np.zeros(len(estimates), dtype=bool)
     lo, hi = estimates.slot_spans()
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        sats, si = np.unique(estimates.sat[a:b], return_inverse=True)
-        stations, gi = np.unique(estimates.station[a:b], return_inverse=True)
-        tx, rx = estimates.transmitters[sats], estimates.receivers[stations]
+    si_all, tx_all, sat_at = _slot_local(estimates.slot, estimates.sat,
+                                         estimates.transmitters, lo, hi)
+    gi_all, rx_all, station_at = _slot_local(estimates.slot, estimates.station,
+                                             estimates.receivers, lo, hi)
+    # head[0] stays True: the first bid of a sorted candidate list
+    head = np.ones(int((hi - lo).max(initial=1)), dtype=bool)
+    for a, b, s0, s1, g0, g1 in zip(lo.tolist(), hi.tolist(), sat_at[:-1].tolist(),
+                                    sat_at[1:].tolist(), station_at[:-1].tolist(),
+                                    station_at[1:].tolist()):
+        si, gi = si_all[a:b], gi_all[a:b]
+        # the slot's own capacity entries: claims consume rx in place
+        tx, rx = tx_all[s0:s1], rx_all[g0:g1]
         w, l = estimates.key_bits[a:b], link[a:b]
         open_ = np.ones(b - a, dtype=bool)
         while True:
@@ -280,12 +299,15 @@ def run_greedy(estimates: EstimateTable) -> Schedule:
                 break
             # each station bids on its best offer, lowest satellite on ties
             cand = cand[np.lexsort((si[cand], -w[cand], gi[cand]))]
-            bid = cand[np.r_[True, gi[cand[1:]] != gi[cand[:-1]]]]
+            first = head[:len(cand)]
+            gc = gi[cand]
+            np.not_equal(gc[1:], gc[:-1], out=first[1:])
+            bid = cand[first]
             # each satellite keeps its first tx claimants by (pool, station)
             bid = bid[np.lexsort((gi[bid], pool[l[bid]], si[bid]))]
             rank = np.arange(len(bid)) - np.searchsorted(si[bid], si[bid])
             win = bid[rank < tx[si[bid]]]
-            tx = np.maximum(tx - np.bincount(si[bid], minlength=len(sats)), 0)
+            tx = np.maximum(tx - np.bincount(si[bid], minlength=len(tx)), 0)
             rx[gi[win]] -= 1
             open_[win] = False
             pool[l[win]] += w[win]

@@ -7,10 +7,13 @@ key-rate zero crossing, scalar per-triple geometry for the visibility scan,
 loop-by-loop builders of the integer programs that the library assembles
 from index arrays, dict-based Phase-1 schedulers for the array ones (on
 the re-solve assignment solver the dual-certified one replaced), and a
-dict-based joint-capacity sum for the array helper. They are slow and
-only meant for desk-scale cross checks.
+dict-based joint-capacity sum for the array helper, and the row-by-row
+``csv.writer`` and slot-by-slot greedy that the columnar writer and the
+pre-indexed greedy replaced. They are slow and only meant for desk-scale
+cross checks.
 """
 
+import csv
 import itertools
 import math
 
@@ -717,6 +720,38 @@ def reference_run_greedy(estimates):
     return _reference_schedule(entries, estimates, {"scheduler": "greedy"})
 
 
+def reference_run_greedy_per_slot(estimates):
+    """The array greedy as it was before its index work was hoisted to
+    whole-table arrays: two ``np.unique`` calls per slot."""
+    from qkdsched.sched import Schedule, _links
+
+    link = _links(estimates)
+    pool = np.zeros(estimates.n_sats * estimates.n_stations)
+    served = np.zeros(len(estimates), dtype=bool)
+    lo, hi = estimates.slot_spans()
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        sats, si = np.unique(estimates.sat[a:b], return_inverse=True)
+        stations, gi = np.unique(estimates.station[a:b], return_inverse=True)
+        tx, rx = estimates.transmitters[sats], estimates.receivers[stations]
+        w, l = estimates.key_bits[a:b], link[a:b]
+        open_ = np.ones(b - a, dtype=bool)
+        while True:
+            cand = np.flatnonzero(open_ & (tx[si] > 0) & (rx[gi] > 0))
+            if not len(cand):
+                break
+            cand = cand[np.lexsort((si[cand], -w[cand], gi[cand]))]
+            bid = cand[np.r_[True, gi[cand[1:]] != gi[cand[:-1]]]]
+            bid = bid[np.lexsort((gi[bid], pool[l[bid]], si[bid]))]
+            rank = np.arange(len(bid)) - np.searchsorted(si[bid], si[bid])
+            win = bid[rank < tx[si[bid]]]
+            tx = np.maximum(tx - np.bincount(si[bid], minlength=len(sats)), 0)
+            rx[gi[win]] -= 1
+            open_[win] = False
+            pool[l[win]] += w[win]
+            served[a + win] = True
+    return Schedule.from_mask(estimates, served, {"scheduler": "greedy"})
+
+
 def reference_run_opportunistic(estimates, targets, delta=0.01, max_passes=50,
                                 tol=1e-4):
     lam = np.zeros((estimates.n_sats, estimates.n_stations))
@@ -755,3 +790,18 @@ def reference_run_opportunistic(estimates, targets, delta=0.01, max_passes=50,
         "tol": tol,
         "max_multiplier": float(lam.max(initial=0.0)),
     })
+
+
+def reference_write_estimates_csv(table, path):
+    """The estimate-table writer as it was before it formatted columns in
+    chunks: one ``csv.writer`` row per estimate, and no metadata line."""
+    columns = [table.slot.tolist(), table.sat_ids[table.sat].tolist(),
+               table.station_ids[table.station].tolist()]
+    columns += [map(repr, a.tolist()) for a in
+                (table.transmissivity, table.successes, table.qber, table.rate,
+                 table.cloud, table.key_bits)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["slot", "satellite_id", "station_id", "transmissivity",
+                    "successes", "qber", "key_rate", "cloud", "key_bits"])
+        w.writerows(zip(*columns))

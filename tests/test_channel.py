@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import channel
+from qkdsched.channel import EstimateTable
 from qkdsched.orbit import VisibilityTable
 
-from conftest import bisect_root
+from conftest import bisect_root, reference_write_estimates_csv
+
+FLOAT_COLUMNS = ("transmissivity", "successes", "qber", "rate", "cloud", "key_bits")
 
 
 # hand-computed: -0.05*log2(0.05) - 0.95*log2(0.95)
@@ -151,15 +155,102 @@ def test_build_estimates_cloud_scaling(toy_scenario):
     assert cloudy.cloud[0] == 0.25
 
 
+def _assert_bitwise_equal(got, want):
+    for name in ("slot", "sat", "station", "sat_ids", "station_ids", "transmitters",
+                 "receivers") + FLOAT_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.n_slots, got.n_sats, got.n_stations) == \
+        (want.n_slots, want.n_sats, want.n_stations)
+
+
 def test_estimates_csv_round_trip(tmp_path, toy_scenario):
     table = channel.build_estimates(toy_scenario, _one_row_visibility(45.0, 800.0))
     path = tmp_path / "est.csv"
     channel.write_estimates_csv(table, path)
+    _assert_bitwise_equal(channel.read_estimates_csv(path), table)
+
+
+def _random_estimates(rng, n_rows, values=None):
+    """Table of up to ``n_rows`` rows over 5 satellites and 4 stations with
+    unsorted ids, capacities of 1-3, a satellite and a trailing slot with no
+    rows; float columns drawn from ``values`` or spread over many decades."""
+    n_slots = n_rows // 4 + 3
+    keys = rng.choice((n_slots - 1) * 4 * 4, size=min(n_rows, (n_slots - 1) * 16),
+                      replace=False)
+    slot, sat, station = keys // 16, keys // 4 % 4, keys % 4
+
+    def column():
+        if values is not None:
+            return rng.choice(np.asarray(values, dtype=float), size=len(keys))
+        return rng.choice([-1.0, 1.0], len(keys)) * 10.0 ** rng.uniform(-12, 17, len(keys))
+
+    return EstimateTable(
+        n_slots=n_slots, n_sats=5, n_stations=4, slot=slot, sat=sat, station=station,
+        **{name: column() for name in FLOAT_COLUMNS},
+        transmitters=rng.integers(1, 4, 5), receivers=rng.integers(1, 4, 4),
+        sat_ids=np.array([40, 7, 12, 3, 99]), station_ids=np.array([5, 2, 8, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 7),
+       st.sampled_from([None, (1e-05, 2.5e-07, 1e+16, 0.0, -0.0, 0.1, 3.0),
+                        (math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)]))
+@example(seed=0, n_rows=33, chunk=7, values=(1e-05, 2.5e-07, 1e+16, 0.0, -0.0))
+def test_writer_matches_csv_writer_bytes(tmp_path_factory, seed, n_rows, chunk, values):
+    """The chunked writer's data lines are the ``csv.writer`` bytes, across
+    chunk boundaries and for floats in exponent form and signed zeros."""
+    table = _random_estimates(np.random.default_rng(seed), n_rows, values)
+    tmp = tmp_path_factory.mktemp("w")
+    reference_write_estimates_csv(table, tmp / "ref.csv")
+    with mock.patch.object(channel, "_WRITE_CHUNK_ROWS", chunk):
+        channel.write_estimates_csv(table, tmp / "new.csv")
+        channel.write_estimates_csv(table, tmp / "bare.csv", metadata=False)
+    want = (tmp / "ref.csv").read_bytes()
+    meta, data = (tmp / "new.csv").read_bytes().split(b"\r\n", 1)
+    assert meta.startswith(b"#") and data == want
+    assert (tmp / "bare.csv").read_bytes() == want
+
+
+def test_writer_chunk_boundary_at_full_size(tmp_path):
+    table = _random_estimates(np.random.default_rng(3), channel._WRITE_CHUNK_ROWS + 5)
+    assert len(table) > channel._WRITE_CHUNK_ROWS
+    reference_write_estimates_csv(table, tmp_path / "ref.csv")
+    channel.write_estimates_csv(table, tmp_path / "new.csv", metadata=False)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_round_trip_restores_metadata_bitwise(tmp_path_factory, seed, n_rows):
+    """With its metadata line a dump reads back as the same table: ids in
+    their positional order, capacities, empty satellites and slots."""
+    table = _random_estimates(np.random.default_rng(seed), n_rows)
+    path = tmp_path_factory.mktemp("rt") / "est.csv"
+    channel.write_estimates_csv(table, path)
+    _assert_bitwise_equal(channel.read_estimates_csv(path), table)
+
+
+def test_bare_table_reads_with_sorted_dense_ids(tmp_path):
+    table = _random_estimates(np.random.default_rng(5), 30)
+    path = tmp_path / "bare.csv"
+    channel.write_estimates_csv(table, path, metadata=False)
     back = channel.read_estimates_csv(path)
-    assert len(back) == len(table)
-    assert np.allclose(back.key_bits, table.key_bits)
-    assert np.allclose(back.qber, table.qber)
-    assert back.slot[0] == table.slot[0]
+    raw = (table.slot, table.sat_ids[table.sat], table.station_ids[table.station])
+    got = (back.slot, back.sat_ids[back.sat], back.station_ids[back.station])
+    order = np.lexsort(raw[::-1])
+    back_order = np.lexsort(got[::-1])
+    for a, b in zip(raw, got):
+        assert np.array_equal(a[order], b[back_order])
+    assert back.sat_ids.tolist() == sorted(set(raw[1].tolist()))
+    assert back.station_ids.tolist() == sorted(set(raw[2].tolist()))
+    assert back.n_slots == int(table.slot.max()) + 1
+    assert back.transmitters.tolist() == [1] * back.n_sats
+    assert back.receivers.tolist() == [1] * back.n_stations
+    for name in FLOAT_COLUMNS:
+        assert getattr(back, name)[back_order].tobytes() == \
+            getattr(table, name)[order].tobytes(), name
 
 
 def test_normalizer_all_zero_guard():

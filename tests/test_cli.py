@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -398,3 +399,60 @@ def test_dump_estimates_round_trip(tmp_path):
     dumped = read_estimates_csv(out / "estimates.csv")
     original = read_estimates_csv(table_path)
     assert len(dumped) == len(original)
+
+
+HEADER = "slot,satellite_id,station_id,transmissivity,successes,qber,key_rate,cloud,key_bits"
+ROW = "0,1,1,0.0,3.0,0.0,1.0,0.0,3.0"
+META = ('#{"n_slots": 4, "sat_ids": [1], "station_ids": [1], "transmitters": [1], '
+        '"receivers": [1]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ("slot,satellite,station_id,transmissivity,successes,qber,key_rate,cloud,key_bits\n"
+     + ROW, "expected columns"),
+    (HEADER + "\n", "empty estimate table"),
+    (HEADER + "\n" + ROW + "\n1.5,1,1,0.0,3.0,0.0,1.0,0.0,3.0\n", "'1.5'"),
+    (HEADER + "\n" + ROW + "\n1,1,1,0.0,3.0,0.0,1.0,0.0\n", "8 were found"),
+    (META + "\n" + HEADER + "\n" + ROW + "\n1,2,1,0.0,3.0,0.0,1.0,0.0,3.0\n",
+     "satellite id 2 is not in the metadata line"),
+    (META.replace('"receivers": [1]', '"receivers": [1, 1]') + "\n" + HEADER + "\n" + ROW,
+     "one 'receivers' entry per 'station_ids' entry"),
+    (META.replace("4", "1.5") + "\n" + HEADER + "\n" + ROW, "bad metadata line"),
+    (META + "\n" + HEADER + "\n" + ROW.replace("0,", "4,", 1), r"slots must lie in [0, 4)"),
+], ids=["header", "header-only", "float-slot", "short-row", "unknown-id",
+        "meta-lengths", "meta-float", "slot-range"])
+def test_malformed_table_is_an_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            read_estimates_csv(path)
+    assert str(path) in str(info.value) and message in str(info.value)
+    out = tmp_path / "out"
+    rc = main(["run", "--table", str(path), "--schedulers", "greedy", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input:") and message in err
+    assert not out.exists()
+
+
+def test_readme_dump_replays_to_the_same_artifacts(tmp_path):
+    # a --table replay of the README toy command's dump sees the scenario's
+    # slot count, ids and capacities, so every other artifact repeats
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    args = ["--schedulers", "rr,greedy,op-rr,maxsum", "--export-lp"]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", "--scenario", str(scenarios / "toy_equator.ini"),
+                 "--clouds", str(scenarios / "clouds_sample.csv"), *args,
+                 "--dump-estimates", "--out", str(first)]) == 0
+    assert main(["run", "--table", str(first / "estimates.csv"), *args,
+                 "--out", str(replay)]) == 0
+    want, got = _tree(first), _tree(replay)
+    for name in ("estimates.csv", "run_config.json"):
+        want.pop(name)
+        got.pop(name, None)
+    assert sorted(got) == sorted(want)
+    assert [n for n in want if got[n] != want[n]] == []
+    report = json.loads((replay / "rr" / "report.json").read_text())
+    assert report["dimensions"] == {"satellites": 2, "slots": 600, "stations": 3}

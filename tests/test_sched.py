@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import sched
+from qkdsched.weather import apply_filter
 from conftest import (_ReferenceSlotView, _reference_solve_slot, check_schedule,
                       make_table, random_table, reference_run_greedy,
-                      reference_run_opportunistic, reference_run_rr)
+                      reference_run_greedy_per_slot, reference_run_opportunistic,
+                      reference_run_rr)
 
 
 def _full_table(n_slots, n_sats, n_stations, bits_fn, **kw):
@@ -349,3 +352,42 @@ def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
                                                     maximize))
                 assert got == want, (trial, a, maximize)
     assert hall and two_capacity
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
+       st.floats(0.1, 0.9), st.booleans())
+@example(seed=1, n_sats=3, n_stations=4, density=0.9, tied=True)
+def test_greedy_matches_per_slot_reference(seed, n_sats, n_stations, density, tied):
+    """The pre-indexed greedy serves the rows the slot-by-slot one did.
+
+    Capacities run from 1 to 3, key bits tie (small integers) or not, and
+    every third slot holds a single row.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(10):
+        links = [(s, g) for s in range(n_sats) for g in range(n_stations)
+                 if rng.random() < density]
+        if t % 3 == 2:
+            links = links[:1]
+        for s, g in links:
+            bits = float(rng.integers(0, 3)) if tied else float(rng.random() * 4.0)
+            rows.append((t, s, g, bits))
+    table = make_table(10, n_sats, n_stations, rows,
+                       transmitters=rng.integers(1, 4, n_sats),
+                       receivers=rng.integers(1, 4, n_stations))
+    got = sched.run_greedy(table)
+    _assert_same_schedule(got, reference_run_greedy_per_slot(table))
+    check_schedule(got, table)
+
+
+def test_greedy_on_a_table_the_filter_empties():
+    table = make_table(3, 2, 2, [(0, 0, 0, 1.0), (1, 1, 1, 2.0), (2, 0, 1, 3.0)],
+                       transmitters=[2, 1], receivers=[1, 3])
+    table.cloud[:] = 0.9
+    empty = apply_filter(table, 0.8)
+    assert len(empty) == 0
+    got = sched.run_greedy(empty)
+    _assert_same_schedule(got, reference_run_greedy_per_slot(empty))
+    assert len(got) == 0 and got.key_pool.shape == (2, 2)
