@@ -18,10 +18,21 @@ slackness for the assignment LP; Burkard, Dell'Amico & Martello,
 each takes the smallest column whose cheapest completion stays within the
 tolerance, and each candidate is priced by one shortest alternating path
 over the reduced costs instead of a re-solve.
+
+That check is one certificate with two callers. :func:`solve_assignment`
+runs it on its own map, a batch of one. A caller that solves many
+matrices can instead take each raw map from :func:`optimal_map`, the only
+place that calls the LSAP solver, and certify a stack of maps of one
+shape at once with :func:`certify`: one Floyd-Warshall over a
+(n + 1, n + 1, K) array, so the numpy calls scale with the rows, not with
+K. A map that passes is what :func:`solve_assignment` returns for its
+matrix; one that fails must be solved again by :func:`solve_assignment`,
+whose walk is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -82,43 +93,103 @@ def solve_assignment(matrix: WeightMatrix, maximize: bool = True) -> np.ndarray:
     cost = np.where(matrix.feasible, -w if maximize else w, np.inf)
     if n_rows == 0:
         return np.zeros(0, dtype=np.int64)
-
-    # one-row instances: straight scan, cheapest place to be deterministic
+    match = optimal_map(cost)
     if n_rows == 1:
-        j = int(np.flatnonzero(matrix.feasible[0] & (cost[0] == cost[0].min()))[0])
-        return np.array([j], dtype=np.int64)
+        return match
+    settled, tol, dist = _check(cost[None], match[None])
+    if settled[0]:
+        return match
+    return _lex_walk(cost, match, float(tol[0]), dist[:, :, 0])
 
+
+def optimal_map(cost: np.ndarray) -> np.ndarray:
+    """A minimum-cost row -> column map of ``cost`` (``inf`` on forbidden
+    cells, rows <= cols), before ties are broken.
+
+    A one-row matrix takes its first cheapest column, which is already the
+    tie rule's answer; a larger one takes the map of one LSAP call.
+    """
+    if cost.shape[0] == 1:
+        return cost.argmin(axis=1)
     try:
-        rows, cols = linear_sum_assignment(cost)
+        _, cols = linear_sum_assignment(cost)
     except ValueError as exc:
         raise AssignmentInfeasibleError(
             "rows cannot all be matched to feasible columns") from exc
-    total = float(cost[rows, cols].sum())
-    tol = _REL_TOL * max(1.0, abs(total))
-    return _lex_smallest(cost, cols.astype(np.int64, copy=False), tol)
+    return cols.astype(np.int64, copy=False)
 
 
-def _row_distances(cost: np.ndarray, match: np.ndarray) -> tuple:
-    """Each row's cost of moving to each column, and the shortest
-    alternating paths between the columns of an optimal map.
+def certify(cost: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Which of K optimal maps the tie rule returns unchanged, as a (K,)
+    boolean array.
+
+    ``cost`` is a (K, n, m) stack of matrices of one shape, with n >= 2,
+    and ``match`` holds an optimal map of each, as :func:`optimal_map`
+    gives it. A map passes when no row can take a smaller column within
+    its matrix's tolerance; :func:`solve_assignment` makes the same check
+    with K = 1 before it walks.
+    """
+    return _check(cost, match)[0]
+
+
+def _check(cost: np.ndarray, match: np.ndarray) -> tuple:
+    """Verdicts, tolerances and row distances of K optimal maps.
+
+    Each tolerance is ``_REL_TOL`` relative to its map's total, and at
+    least ``_REL_TOL``. With no row fixed, row i taking column j costs
+    move[i, j] plus the path from j back to i's column; if no smaller
+    column gets within the tolerance that way, fixing rows cannot make
+    one, and no row moves.
+    """
+    K, n, m = cost.shape
+    kk, rows, kk3, rows2, cols = _grid(K, n, m)
+    matched = cost[kk, rows, match]
+    tol = _REL_TOL * np.maximum(1.0, np.abs(matched.sum(axis=1)))
+    move = cost - matched[:, :, None]
+    dist = _row_distances(move, match)
+    node = np.full((K, m), n)
+    node[kk, match] = rows
+    excess = move + dist[node[:, None, :], rows2, kk3]
+    movable = (excess <= tol[:, None, None]) & (cols < match[:, :, None])
+    return ~movable.any(axis=(1, 2)), tol, dist
+
+
+@functools.lru_cache(maxsize=256)
+def _grid(K: int, n: int, m: int) -> tuple:
+    """Index arrays over a (K, n, m) stack, built once per shape.
+
+    Round-robin makes a K = 1 check for every slot it solves, and building
+    these small arrays each time was a measurable share of its solve.
+    """
+    kk, rows, cols = np.arange(K)[:, None], np.arange(n), np.arange(m)
+    for a in (kk, rows, cols):
+        a.flags.writeable = False
+    return kk, rows, kk[:, :, None], rows[:, None], cols
+
+
+def _row_distances(move: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Shortest alternating paths between the columns of K optimal maps,
+    given each row's cost ``move`` (K, n, m) of moving to each column, as
+    an (n + 1, n + 1, K) array.
 
     Node k < n stands for row k's column, node n for all unused columns at
     once. Leaving node k for row k2's column costs what row k pays to move
     there; leaving it for node n costs row k's cheapest move into an unused
     column; leaving node n for any row's column costs nothing. An optimal
     map leaves no negative cycle, so Floyd-Warshall over the n + 1 nodes
-    settles the lengths, in memory quadratic in the rows.
+    settles the lengths, in memory quadratic in the rows. The batch axis
+    comes last so that each step of it reads like the one-matrix form.
     """
-    n = len(match)
-    move = cost - cost[np.arange(n), match][:, None]
-    dist = np.zeros((n + 1, n + 1))
-    dist[:n, :n] = move[:, match]
+    K, n, m = move.shape
+    kk, _, kk3, rows2, _ = _grid(K, n, m)
+    dist = np.zeros((n + 1, n + 1, K))
+    dist[:n, :n] = move[kk3, rows2, match[:, None, :]].transpose(1, 2, 0)
     into_unused = move.copy()
-    into_unused[:, match] = np.inf
-    dist[:n, n] = into_unused.min(axis=1)
+    into_unused[kk, :, match] = np.inf
+    dist[:n, n] = into_unused.min(axis=2).T
     for k in range(n + 1):
         dist = np.minimum(dist, dist[:, k, None] + dist[k])
-    return move, dist
+    return dist
 
 
 def _potentials(match: np.ndarray, dist: np.ndarray, n_cols: int) -> np.ndarray:
@@ -136,8 +207,11 @@ def _reduced(cost: np.ndarray, match: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(cost - u[:, None] - v, 0.0)
 
 
-def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray:
-    """Lexicographically smallest map within ``tol`` of the optimal ``match``.
+def _lex_walk(cost: np.ndarray, match: np.ndarray, tol: float,
+              dist: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest map within ``tol`` of the optimal
+    ``match``, whose shortest alternating paths ``dist`` failed the check
+    of :func:`_check`.
 
     Row i keeps its column unless a smaller free column j has a cheapest
     completion within the tolerance left. That completion moves row i to
@@ -147,16 +221,6 @@ def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray
     leaving any of them for column b costs ``-v[b]``.
     """
     n, m = cost.shape
-    move, dist = _row_distances(cost, match)
-    node = np.full(m, n)
-    node[match] = np.arange(n)
-    # with no row fixed, row i taking column j costs move[i, j] plus the
-    # path from j back to i's column; if no smaller column gets within the
-    # tolerance that way, fixing rows cannot make one, and no row moves
-    excess = move + dist[node, :n].T
-    if not ((excess <= tol) & (np.arange(m) < match[:, None])).any():
-        return match
-
     v = _potentials(match, dist, m)
     reduced = _reduced(cost, match, v)
     owner = np.full(m, -1)
@@ -186,9 +250,11 @@ def _lex_smallest(cost: np.ndarray, match: np.ndarray, tol: float) -> np.ndarray
                 pos = np.full(m, -1)
                 pos[rest] = np.arange(len(rest))
                 sub_match = pos[match[i + 1:]]
-                _, sub_dist = _row_distances(cost[i + 1:, rest], sub_match)
+                sub = cost[i + 1:, rest]
+                sub_move = sub - sub[np.arange(n - i - 1), sub_match][:, None]
+                sub_dist = _row_distances(sub_move[None], sub_match[None])
                 v = np.zeros(m)
-                v[rest] = _potentials(sub_match, sub_dist, len(rest))
+                v[rest] = _potentials(sub_match, sub_dist[:, :, 0], len(rest))
                 reduced[i + 1:] = _reduced(cost[i + 1:], match[i + 1:], v)
             break
         free[match[i]] = False

@@ -271,8 +271,7 @@ def write_estimates_csv(table: EstimateTable, path, *, metadata: bool = True) ->
     :func:`read_estimates_csv` restores.
     """
     ints = (table.slot, table.sat_ids[table.sat], table.station_ids[table.station])
-    floats = (table.transmissivity, table.successes, table.qber, table.rate,
-              table.cloud, table.key_bits)
+    floats = (table.transmissivity, table.successes, table.qber, table.rate)
     with open(path, "w", newline="") as fh:
         if metadata:
             fh.write("#" + json.dumps({
@@ -287,9 +286,20 @@ def write_estimates_csv(table: EstimateTable, path, *, metadata: bool = True) ->
             part = slice(a, a + _WRITE_CHUNK_ROWS)
             # repr of a tolist() float is repr(float(x)): the shortest round-trip text
             columns = ([map(str, c[part].tolist()) for c in ints]
-                       + [map(repr, c[part].tolist()) for c in floats])
+                       + [map(repr, c[part].tolist()) for c in floats]
+                       + [_repr_repeated(table.cloud[part]),
+                          map(repr, table.key_bits[part].tolist())])
             fh.write("\r\n".join(map(",".join, zip(*columns))))
             fh.write("\r\n")
+
+
+def _repr_repeated(values: np.ndarray) -> list:
+    """``repr`` of every value of a column with few distinct values, each
+    distinct bit pattern formatted once (so -0.0 stays apart from 0.0)."""
+    bits, index = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return [text[i] for i in index.tolist()]
 
 
 def read_estimates_csv(path) -> EstimateTable:

@@ -19,6 +19,16 @@ pass then only gathers a slot's weights into its kept matrix and solves
 it (:func:`_solve_slot`). Known limitation: in a slot that violates
 Hall's condition, the plan keeps whichever rows
 ``maximum_bipartite_matching`` matches, whatever their weights.
+
+Round-robin solves each slot with :func:`solve_assignment`: its integer
+counters tie so often that the tie rule's walk runs in a large share of
+slots. An opportunistic pass instead serves each slot by its raw optimal
+map (:func:`optimal_map`, one LSAP call) and checks the tie rule once per
+window of ``_WINDOW`` slots, with one batched certificate per kept-matrix
+shape (:func:`certify`). Where a map fails, the pass takes the window back
+to the failing slot, solves that slot exactly with
+:func:`solve_assignment` and goes on from there, so its decisions are
+those of solving every slot with :func:`solve_assignment`.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .assign import WeightMatrix, solve_assignment
+from .assign import WeightMatrix, certify, optimal_map, solve_assignment
 from .channel import EstimateTable
 
 
@@ -349,26 +359,25 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     Passes repeat over the whole horizon until the largest multiplier drift
     across a pass drops below ``tol`` or ``max_passes`` is hit; the last
     pass's decisions are the schedule.
+
+    A pass serves each slot by its raw optimal map and checks the tie rule
+    once per window of ``_WINDOW`` slots: the maps of the window's slots
+    with one kept-matrix shape are certified together (:func:`certify`).
+    A map that fails would have been changed by the tie rule, so every
+    decision after it rests on the wrong multipliers. The pass then
+    restores the multipliers and served rows of the window's start,
+    replays the certified slots before the failing one, solves that one
+    with :func:`solve_assignment` and opens the next window after it. The
+    schedule is therefore the one that solving every slot with
+    :func:`solve_assignment` gives.
     """
     check_opportunistic(delta, max_passes)
-    link = _links(estimates)
-    target = targets.rates.ravel()
-    lam = np.zeros(estimates.n_sats * estimates.n_stations)
-    norm = estimates.normalizer
-    plan = slot_plan(estimates)
-    spans = list(enumerate(zip(plan.lo.tolist(), plan.hi.tolist())))
+    state = _OpportunisticPasses(estimates, targets, delta)
     converged = False
     for passes in range(1, max_passes + 1):
-        lam_start = lam.copy()
-        served = np.zeros(len(estimates), dtype=bool)
-        for p, (a, b) in spans:
-            l, bits = link[a:b], estimates.key_bits[a:b]
-            served[a + _solve_slot(plan, p, (1.0 + lam[l]) * bits / norm,
-                                   maximize=True)] = True
-            u, r = bits / norm, target[l]
-            lam[l] = np.maximum(0.0, np.where(served[a:b], lam[l] - delta * (u - r),
-                                              lam[l] + delta * r))
-        if float(np.abs(lam - lam_start).max(initial=0.0)) < tol:
+        lam_start = state.lam.copy()
+        served = state.run()
+        if float(np.abs(state.lam - lam_start).max(initial=0.0)) < tol:
             converged = True
             break
     return Schedule.from_mask(estimates, served, {
@@ -377,5 +386,118 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
         "converged": converged,
         "delta": delta,
         "tol": tol,
-        "max_multiplier": float(lam.max(initial=0.0)),
+        "max_multiplier": float(state.lam.max(initial=0.0)),
     })
+
+
+# slots whose maps an opportunistic pass certifies together; it bounds the
+# kept matrices a pass holds at once
+_WINDOW = 1024
+
+
+class _OpportunisticPasses:
+    """The passes of one :func:`run_opportunistic` call: the multipliers
+    and what every pass shares, namely the slot plan, each row's two
+    multiplier steps, and the windows with their multi-row slots grouped
+    by kept-matrix shape."""
+
+    def __init__(self, estimates: EstimateTable, targets: MinRateProfile, delta: float):
+        self.plan = plan = slot_plan(estimates)
+        self.link = _links(estimates)
+        self.bits = estimates.key_bits
+        self.norm = estimates.normalizer
+        self.lam = np.zeros(estimates.n_sats * estimates.n_stations)
+        r = targets.rates.ravel()[self.link]
+        # a served row adds -delta * (U - r) to its link's multiplier, an
+        # unserved one delta * r; x - y and x + (-y) round alike
+        self.served_step = -(delta * (self.bits / self.norm - r))
+        self.unserved_step = delta * r
+        self.n_rows = len(estimates)
+        self.lo, self.hi = plan.lo.tolist(), plan.hi.tolist()
+        n, m = plan.rows.tolist(), plan.cols.tolist()
+        self.kept = [plan.kept[at:at + a * b].reshape(a, b)
+                     for at, a, b in zip(plan.off.tolist(), n, m)]
+        # a multi-row slot's (group, place in group) within its window
+        self.where = [None] * len(n)
+        self.windows = []
+        for first in range(0, len(n), _WINDOW):
+            stop = min(first + _WINDOW, len(n))
+            index, members = {}, []
+            for p in range(first, stop):
+                if n[p] > 1:
+                    g = index.setdefault((n[p], m[p]), len(members))
+                    if g == len(members):
+                        members.append([])
+                    self.where[p] = (g, len(members[g]))
+                    members[g].append(p)
+            self.windows.append((first, stop, [np.array(slots) for slots in members]))
+        # one slot's negated weights, then inf for the plan's missing links
+        self.cost_of = np.empty(int((plan.hi - plan.lo).max(initial=0)) + 1)
+        self.rank = np.arange(max(n, default=0))
+
+    def run(self) -> np.ndarray:
+        """One pass over every slot; returns the served-row mask."""
+        served = np.zeros(self.n_rows, dtype=bool)
+        for first, stop, groups in self.windows:
+            shapes = [self.kept[int(slots[0])].shape for slots in groups]
+            costs = [np.empty((len(slots),) + shape) for slots, shape in zip(groups, shapes)]
+            maps = [np.empty((len(slots), shape[0]), dtype=np.int64)
+                    for slots, shape in zip(groups, shapes)]
+            start = first
+            while start < stop:
+                lam_start = self.lam.copy()
+                picked = [self._solve(p, costs, maps, served) for p in range(start, stop)]
+                bad = stop
+                for slots, cost, match in zip(groups, costs, maps):
+                    q = int(np.searchsorted(slots, start))
+                    if q < len(slots):
+                        failed = slots[q:][~certify(cost[q:], match[q:])]
+                        if len(failed):
+                            bad = min(bad, int(failed[0]))
+                if bad < stop:
+                    self._redo(start, bad, stop, lam_start, picked, served)
+                start = bad + 1
+        return served
+
+    def _redo(self, start, bad, stop, lam_start, picked, served) -> None:
+        """Take back slots ``[start, stop)``, whose map at slot ``bad``
+        failed its certificate: restore the multipliers, replay the
+        certified slots before ``bad`` and solve ``bad`` exactly."""
+        self.lam[:] = lam_start
+        served[self.lo[start]:self.hi[stop - 1]] = False
+        for p, rows in zip(range(start, bad), picked):
+            self._step(p, rows, served)
+        a, b = self.lo[bad], self.hi[bad]
+        weight = (1.0 + self.lam[self.link[a:b]]) * self.bits[a:b] / self.norm
+        self._step(bad, a + _solve_slot(self.plan, bad, weight, maximize=True), served)
+
+    def _solve(self, p, costs, maps, served) -> np.ndarray:
+        """Serve slot ``p`` by its raw optimal map, keeping a multi-row
+        slot's cost matrix and map for the certificate; returns the
+        served table rows."""
+        a, b, kept = self.lo[p], self.hi[p], self.kept[p]
+        # the cost -(1 + lambda) * bits / norm that _solve_slot builds, bit
+        # for bit: a negated divisor negates the rounded quotient exactly
+        cost_of = self.cost_of
+        w = cost_of[:b - a]
+        np.add(self.lam[self.link[a:b]], 1.0, out=w)
+        np.multiply(w, self.bits[a:b], out=w)
+        np.divide(w, -self.norm, out=w)
+        cost_of[b - a] = np.inf
+        if self.where[p] is None:
+            match = optimal_map(cost_of[kept])
+        else:
+            g, q = self.where[p]
+            match = optimal_map(cost_of.take(kept, out=costs[g][q], mode="clip"))
+            maps[g][q] = match
+        rows = a + kept[self.rank[:len(match)], match]
+        self._step(p, rows, served)
+        return rows
+
+    def _step(self, p, rows, served) -> None:
+        """Mark slot ``p``'s served rows and move its links' multipliers."""
+        a, b = self.lo[p], self.hi[p]
+        served[rows] = True
+        l = self.link[a:b]
+        step = np.where(served[a:b], self.served_step[a:b], self.unserved_step[a:b])
+        self.lam[l] = np.maximum(0.0, self.lam[l] + step)

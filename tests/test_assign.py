@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qkdsched import assign
 from qkdsched.assign import (AssignmentInfeasibleError, WeightMatrix,
-                             assignment_value, solve_assignment)
+                             assignment_value, certify, optimal_map, solve_assignment)
 from conftest import brute_force_assignment, reference_solve_assignment
 
 
@@ -124,6 +127,22 @@ def _near_tie_weights(rng, shape, integer):
     return levels * (1.0 + nudge)
 
 
+def _near_tie_matrix(rng, n_rows, n_cols, integer, with_heavy):
+    """Near-tied weights with infeasible cells; every row keeps a feasible
+    column. With ``with_heavy``, a heavy row and a column of its own are
+    added, which widens the tolerance far beyond the nudges."""
+    weights = _near_tie_weights(rng, (n_rows, n_cols), integer)
+    feasible = rng.random((n_rows, n_cols)) < rng.uniform(0.3, 1.0)
+    feasible[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] = True
+    if with_heavy:
+        heavy = float(rng.choice([3.0, 40.0, 1e3]))
+        weights = np.pad(weights, ((0, 1), (0, 1)))
+        weights[n_rows, n_cols] = heavy
+        feasible = np.pad(feasible, ((0, 1), (0, 1)))
+        feasible[n_rows, n_cols] = True
+    return WeightMatrix(weights=weights, feasible=feasible)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 4),
        st.booleans(), st.booleans(), st.booleans())
@@ -138,17 +157,7 @@ def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maxi
     far beyond the nudges, so several rows may spend slack on near-ties.
     """
     rng = np.random.default_rng(seed)
-    n_cols = n_rows + extra_cols
-    weights = _near_tie_weights(rng, (n_rows, n_cols), integer)
-    feasible = rng.random((n_rows, n_cols)) < rng.uniform(0.3, 1.0)
-    feasible[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] = True
-    if with_heavy:
-        heavy = float(rng.choice([3.0, 40.0, 1e3]))
-        weights = np.pad(weights, ((0, 1), (0, 1)))
-        weights[n_rows, n_cols] = heavy
-        feasible = np.pad(feasible, ((0, 1), (0, 1)))
-        feasible[n_rows, n_cols] = True
-    matrix = WeightMatrix(weights=weights, feasible=feasible)
+    matrix = _near_tie_matrix(rng, n_rows, n_rows + extra_cols, integer, with_heavy)
     try:
         want = reference_solve_assignment(matrix, maximize=maximize)
     except AssignmentInfeasibleError:
@@ -156,4 +165,40 @@ def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maxi
             solve_assignment(matrix, maximize=maximize)
         return
     got = solve_assignment(matrix, maximize=maximize)
-    assert got.tolist() == want.tolist(), (weights, feasible, maximize)
+    assert got.tolist() == want.tolist(), (matrix.weights, matrix.feasible, maximize)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(0, 3), st.integers(1, 6),
+       st.booleans(), st.booleans(), st.booleans())
+def test_batched_certificate_matches_single_fast_exit(seed, n_rows, extra_cols, k, integer,
+                                                      maximize, with_heavy):
+    """``certify`` on a stack of K maps of one shape gives each map the
+    verdict that ``solve_assignment``'s own K = 1 check gives it: the solver
+    walks exactly when its map fails, and returns the raw map when it
+    passes. Square matrices, infeasible cells, integer ties, near-ties
+    around the tolerance and heavy rows are all drawn."""
+    rng = np.random.default_rng(seed)
+    matrices, costs, maps = [], [], []
+    for _ in range(k):
+        matrix = _near_tie_matrix(rng, n_rows, n_rows + extra_cols, integer, with_heavy)
+        w = matrix.weights
+        cost = np.where(matrix.feasible, -w if maximize else w, np.inf)
+        try:
+            maps.append(optimal_map(cost))
+        except AssignmentInfeasibleError:
+            continue
+        matrices.append(matrix)
+        costs.append(cost)
+    if not matrices:
+        return
+    verdicts = certify(np.array(costs), np.array(maps))
+    walk, walked = assign._lex_walk, []
+    with mock.patch.object(assign, "_lex_walk",
+                           lambda *a: walked.append(1) or walk(*a)):
+        for matrix, match, verdict in zip(matrices, maps, verdicts.tolist()):
+            walked.clear()
+            got = solve_assignment(matrix, maximize=maximize)
+            assert bool(walked) == (not verdict)
+            if verdict:
+                assert got.tolist() == match.tolist()

@@ -172,10 +172,11 @@ def test_estimates_csv_round_trip(tmp_path, toy_scenario):
     _assert_bitwise_equal(channel.read_estimates_csv(path), table)
 
 
-def _random_estimates(rng, n_rows, values=None):
+def _random_estimates(rng, n_rows, values=None, clouds=None):
     """Table of up to ``n_rows`` rows over 5 satellites and 4 stations with
     unsorted ids, capacities of 1-3, a satellite and a trailing slot with no
-    rows; float columns drawn from ``values`` or spread over many decades."""
+    rows; float columns drawn from ``values`` or spread over many decades,
+    and the cloud column from ``clouds`` when given."""
     n_slots = n_rows // 4 + 3
     keys = rng.choice((n_slots - 1) * 4 * 4, size=min(n_rows, (n_slots - 1) * 16),
                       replace=False)
@@ -186,9 +187,12 @@ def _random_estimates(rng, n_rows, values=None):
             return rng.choice(np.asarray(values, dtype=float), size=len(keys))
         return rng.choice([-1.0, 1.0], len(keys)) * 10.0 ** rng.uniform(-12, 17, len(keys))
 
+    floats = {name: column() for name in FLOAT_COLUMNS}
+    if clouds is not None:
+        floats["cloud"] = rng.choice(np.asarray(clouds, dtype=float), size=len(keys))
     return EstimateTable(
         n_slots=n_slots, n_sats=5, n_stations=4, slot=slot, sat=sat, station=station,
-        **{name: column() for name in FLOAT_COLUMNS},
+        **floats,
         transmitters=rng.integers(1, 4, 5), receivers=rng.integers(1, 4, 4),
         sat_ids=np.array([40, 7, 12, 3, 99]), station_ids=np.array([5, 2, 8, 1]))
 
@@ -196,12 +200,17 @@ def _random_estimates(rng, n_rows, values=None):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 7),
        st.sampled_from([None, (1e-05, 2.5e-07, 1e+16, 0.0, -0.0, 0.1, 3.0),
-                        (math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)]))
-@example(seed=0, n_rows=33, chunk=7, values=(1e-05, 2.5e-07, 1e+16, 0.0, -0.0))
-def test_writer_matches_csv_writer_bytes(tmp_path_factory, seed, n_rows, chunk, values):
+                        (math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)]),
+       st.sampled_from([None, (0.0, -0.0, 0.25, 0.8, 0.1 + 0.2),
+                        (0.513, 1e-05, math.nan, 0.513000000000001)]))
+@example(seed=0, n_rows=33, chunk=7, values=(1e-05, 2.5e-07, 1e+16, 0.0, -0.0), clouds=None)
+@example(seed=1, n_rows=40, chunk=6, values=None, clouds=(0.0, -0.0, 0.25, 0.8, 0.1 + 0.2))
+def test_writer_matches_csv_writer_bytes(tmp_path_factory, seed, n_rows, chunk, values,
+                                         clouds):
     """The chunked writer's data lines are the ``csv.writer`` bytes, across
-    chunk boundaries and for floats in exponent form and signed zeros."""
-    table = _random_estimates(np.random.default_rng(seed), n_rows, values)
+    chunk boundaries, for floats in exponent form and signed zeros, and for
+    a cloud column of a few repeated values."""
+    table = _random_estimates(np.random.default_rng(seed), n_rows, values, clouds)
     tmp = tmp_path_factory.mktemp("w")
     reference_write_estimates_csv(table, tmp / "ref.csv")
     with mock.patch.object(channel, "_WRITE_CHUNK_ROWS", chunk):

@@ -21,6 +21,8 @@ def test_benchmark_tracer_wraps_resolve(monkeypatch):
         wrapped = {(m.__name__, attr): original for m, attr, original in tracer._undo}
         assert ("qkdsched.sched", "solve_assignment") in wrapped
         assert ("qkdsched.sched", "maximum_bipartite_matching") in wrapped
+        # the only LSAP call site, shared by solve_assignment and op's raw maps
+        assert ("qkdsched.assign", "linear_sum_assignment") in wrapped
         for (module, attr), original in wrapped.items():
             assert callable(original), f"{module}.{attr}"
     finally:

@@ -293,6 +293,38 @@ def test_schedulers_match_reference(rng, monkeypatch):
     assert fallbacks and zero_bit_served and two_capacity
 
 
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_opportunistic_windows_match_reference(rng, monkeypatch, window):
+    """Certifying a window of raw slot maps at once serves what solving
+    every slot on its own serves, when windows are a few slots long, so
+    that tables cross window boundaries and a certificate that fails after
+    a window's first slot makes the pass replay that window.
+
+    Rounded key bits (ties and zero-bit rows) and capacities of one and two
+    make certificates fail, so the exact fallback must run.
+    """
+    monkeypatch.setattr(sched, "_WINDOW", window)
+    fallbacks, replays = [], []
+    solve = sched.solve_assignment
+    monkeypatch.setattr(sched, "solve_assignment",
+                        lambda *a, **k: fallbacks.append(1) or solve(*a, **k))
+    redo = sched._OpportunisticPasses._redo
+
+    def counted(self, start, bad, *args):
+        replays.append(bad > start)
+        return redo(self, start, bad, *args)
+
+    monkeypatch.setattr(sched._OpportunisticPasses, "_redo", counted)
+    for trial in range(24):
+        table = _reference_case(rng, rounded=trial % 4 != 3)
+        targets = sched.derive_min_rates(reference_run_rr(table), table)
+        _assert_same_schedule(
+            sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
+            reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
+    assert fallbacks
+    assert any(replays) or window == 1
+
+
 def _slot_case(rng):
     """A table whose slots mix a heavy link, lone stations with near-ties
     and tied integer weights, under capacities of one and two."""
