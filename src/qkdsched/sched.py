@@ -436,8 +436,15 @@ class _OpportunisticPasses:
         self.rank = np.arange(max(n, default=0))
 
     def run(self) -> np.ndarray:
-        """One pass over every slot; returns the served-row mask."""
+        """One pass over every slot; returns the served-row mask.
+
+        A window that certifies doubles the length of the next one, up to
+        ``_WINDOW``. One that fails after k certified slots makes the next
+        one k slots long, and at least one, so that where certificates
+        fail often, few slots are solved again after each failure.
+        """
         served = np.zeros(self.n_rows, dtype=bool)
+        length = _WINDOW
         for first, stop, groups in self.windows:
             shapes = [self.kept[int(slots[0])].shape for slots in groups]
             costs = [np.empty((len(slots),) + shape) for slots, shape in zip(groups, shapes)]
@@ -445,26 +452,39 @@ class _OpportunisticPasses:
                     for slots, shape in zip(groups, shapes)]
             start = first
             while start < stop:
+                end = min(start + length, stop)
                 lam_start = self.lam.copy()
-                picked = [self._solve(p, costs, maps, served) for p in range(start, stop)]
-                bad = stop
-                for slots, cost, match in zip(groups, costs, maps):
-                    q = int(np.searchsorted(slots, start))
-                    if q < len(slots):
-                        failed = slots[q:][~certify(cost[q:], match[q:])]
-                        if len(failed):
-                            bad = min(bad, int(failed[0]))
-                if bad < stop:
-                    self._redo(start, bad, stop, lam_start, picked, served)
-                start = bad + 1
+                picked = [self._solve(p, costs, maps, served) for p in range(start, end)]
+                bad = end
+                for g, (q0, q1) in self._places(start, end).items():
+                    failed = groups[g][q0:q1][~certify(costs[g][q0:q1], maps[g][q0:q1])]
+                    if len(failed):
+                        bad = min(bad, int(failed[0]))
+                if bad < end:
+                    self._redo(start, bad, end, lam_start, picked, served)
+                    length = max(1, bad - start)
+                    start = bad + 1
+                else:
+                    length = min(2 * length, _WINDOW)
+                    start = end
         return served
 
-    def _redo(self, start, bad, stop, lam_start, picked, served) -> None:
-        """Take back slots ``[start, stop)``, whose map at slot ``bad``
+    def _places(self, start, end) -> dict:
+        """For each group with slots in ``[start, end)``, the range of
+        their places in it."""
+        places = {}
+        for p in range(start, end):
+            if self.where[p] is not None:
+                g, q = self.where[p]
+                places.setdefault(g, [q, 0])[1] = q + 1
+        return places
+
+    def _redo(self, start, bad, end, lam_start, picked, served) -> None:
+        """Take back slots ``[start, end)``, whose map at slot ``bad``
         failed its certificate: restore the multipliers, replay the
         certified slots before ``bad`` and solve ``bad`` exactly."""
         self.lam[:] = lam_start
-        served[self.lo[start]:self.hi[stop - 1]] = False
+        served[self.lo[start]:self.hi[end - 1]] = False
         for p, rows in zip(range(start, bad), picked):
             self._step(p, rows, served)
         a, b = self.lo[bad], self.hi[bad]

@@ -325,6 +325,29 @@ def test_opportunistic_windows_match_reference(rng, monkeypatch, window):
     assert any(replays) or window == 1
 
 
+def test_opportunistic_work_stays_linear_when_certificates_fail(monkeypatch):
+    """With integer key bits and no floors, no multiplier ever breaks a
+    tie, so many slot maps fail their certificates. A pass must still
+    solve each slot a few times at most, not once more for every failure
+    before it in its window."""
+    rng = np.random.default_rng(5)
+    rows = [(t, s, g, float(rng.integers(0, 4))) for t in range(400)
+            for s in range(3) for g in range(4) if rng.random() < 0.6]
+    table = make_table(400, 3, 4, rows)
+    targets = sched.MinRateProfile(rates=np.zeros((3, 4)), normalizer=table.normalizer)
+    solves, fallbacks = [], []
+    solve = sched._OpportunisticPasses._solve
+    monkeypatch.setattr(sched._OpportunisticPasses, "_solve",
+                        lambda self, *a: solves.append(1) or solve(self, *a))
+    exact = sched.solve_assignment
+    monkeypatch.setattr(sched, "solve_assignment",
+                        lambda *a, **k: fallbacks.append(1) or exact(*a, **k))
+    out = sched.run_opportunistic(table, targets)
+    slots = len(sched.slot_plan(table).lo) * out.metadata["passes"]
+    assert len(fallbacks) > slots // 20
+    assert len(solves) <= 3 * slots
+
+
 def _slot_case(rng):
     """A table whose slots mix a heavy link, lone stations with near-ties
     and tied integer weights, under capacities of one and two."""
