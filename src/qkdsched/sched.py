@@ -24,9 +24,9 @@ Round-robin solves each slot with :func:`solve_assignment`: its integer
 counters tie so often that the tie rule's walk runs in a large share of
 slots. An opportunistic pass instead serves each slot by its raw optimal
 map (:func:`optimal_map`, one LSAP call) and checks the tie rule once per
-window of ``_WINDOW`` slots, with one batched certificate per kept-matrix
-shape (:func:`certify`). Where a map fails, the pass takes the window back
-to the failing slot, solves that slot exactly with
+window of up to ``_WINDOW`` slots, with one batched certificate per
+kept-matrix shape (:func:`certify`). Where a map fails, the pass takes the
+window back to the failing slot, solves that slot exactly with
 :func:`solve_assignment` and goes on from there, so its decisions are
 those of solving every slot with :func:`solve_assignment`.
 """
@@ -361,15 +361,15 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     pass's decisions are the schedule.
 
     A pass serves each slot by its raw optimal map and checks the tie rule
-    once per window of ``_WINDOW`` slots: the maps of the window's slots
-    with one kept-matrix shape are certified together (:func:`certify`).
-    A map that fails would have been changed by the tie rule, so every
-    decision after it rests on the wrong multipliers. The pass then
-    restores the multipliers and served rows of the window's start,
-    replays the certified slots before the failing one, solves that one
-    with :func:`solve_assignment` and opens the next window after it. The
-    schedule is therefore the one that solving every slot with
-    :func:`solve_assignment` gives.
+    once per window of up to ``_WINDOW`` slots: the maps of the window's
+    slots with one kept-matrix shape are certified together
+    (:func:`certify`). A map that fails would have been changed by the tie
+    rule, so every decision after it rests on the wrong multipliers. The
+    pass then restores the multipliers and served rows of the window's
+    start, replays the certified slots before the failing one, solves that
+    one with :func:`solve_assignment` and opens the next window after it,
+    as long as the run of slots that certified. The schedule is therefore
+    the one that solving every slot with :func:`solve_assignment` gives.
     """
     check_opportunistic(delta, max_passes)
     state = _OpportunisticPasses(estimates, targets, delta)
@@ -390,8 +390,8 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     })
 
 
-# slots whose maps an opportunistic pass certifies together; it bounds the
-# kept matrices a pass holds at once
+# most slots whose maps an opportunistic pass certifies together; it bounds
+# the kept matrices a pass holds at once
 _WINDOW = 1024
 
 
@@ -412,7 +412,6 @@ class _OpportunisticPasses:
         # unserved one delta * r; x - y and x + (-y) round alike
         self.served_step = -(delta * (self.bits / self.norm - r))
         self.unserved_step = delta * r
-        self.n_rows = len(estimates)
         self.lo, self.hi = plan.lo.tolist(), plan.hi.tolist()
         n, m = plan.rows.tolist(), plan.cols.tolist()
         self.kept = [plan.kept[at:at + a * b].reshape(a, b)
@@ -443,7 +442,7 @@ class _OpportunisticPasses:
         one k slots long, and at least one, so that where certificates
         fail often, few slots are solved again after each failure.
         """
-        served = np.zeros(self.n_rows, dtype=bool)
+        served = np.zeros(len(self.link), dtype=bool)
         length = _WINDOW
         for first, stop, groups in self.windows:
             shapes = [self.kept[int(slots[0])].shape for slots in groups]
