@@ -109,7 +109,7 @@ class EstimateTable:
     """Per-triple channel estimates, sorted by (slot, satellite, station).
 
     Index arrays are positional (row in the scenario's station tuple /
-    satellite tuple). ``key_bits`` already folds in cloud cover:
+    satellite tuple) and must lie in range. ``key_bits`` already folds in cloud cover:
     (1 - cloud) * successes * rate. ``transmitters`` / ``receivers`` carry
     the per-slot link capacities the schedulers must respect.
     """
@@ -145,12 +145,20 @@ class EstimateTable:
         self._reindex()
 
     def _reindex(self):
-        order = np.lexsort((self.station, self.sat, self.slot))
+        # one int64 key orders rows by (slot, satellite, station) only while
+        # the indices are in range
+        for what, index, n in (("satellite", self.sat, self.n_sats),
+                               ("station", self.station, self.n_stations)):
+            if np.any((index < 0) | (index >= n)):
+                raise ValueError(f"{what} index out of range [0, {n})")
+        key = ((np.asarray(self.slot, dtype=np.int64) * self.n_sats + self.sat)
+               * self.n_stations + self.station)
+        order = np.argsort(key, kind="stable")
         for name in ("slot", "sat", "station", "transmissivity", "successes",
                      "qber", "rate", "cloud", "key_bits"):
             setattr(self, name, getattr(self, name)[order])
-        repeat = np.flatnonzero((np.diff(self.slot) == 0) & (np.diff(self.sat) == 0)
-                                & (np.diff(self.station) == 0))
+        key = key[order]
+        repeat = np.flatnonzero(key[1:] == key[:-1])
         if len(repeat):
             i = repeat[0]
             raise ValueError(

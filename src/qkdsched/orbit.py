@@ -124,6 +124,8 @@ def build_visibility(scenario: Scenario) -> VisibilityTable:
 
         # batched (S x 3) @ (3 x G) per slot
         dots = np.matmul(sat_pos.transpose(1, 0, 2), st_pos.transpose(1, 2, 0))  # (T, S, G)
+        # hits come in C order, (slot, satellite, station), and chunks in slot
+        # order, so the table needs no sort
         ti, si, gi = np.nonzero(dots >= cutoff)
         if len(ti) == 0:
             continue
@@ -145,9 +147,6 @@ def build_visibility(scenario: Scenario) -> VisibilityTable:
         station = np.concatenate(out_g).astype(np.int64)
         elev = np.concatenate(out_elev)
         dist = np.concatenate(out_dist)
-        order = np.lexsort((station, sat, slot))
-        slot, sat, station = slot[order], sat[order], station[order]
-        elev, dist = elev[order], dist[order]
     else:
         slot = sat = station = np.zeros(0, dtype=np.int64)
         elev = dist = np.zeros(0)

@@ -29,6 +29,11 @@ kept-matrix shape (:func:`certify`). Where a map fails, the pass takes the
 window back to the failing slot, solves that slot exactly with
 :func:`solve_assignment` and goes on from there, so its decisions are
 those of solving every slot with :func:`solve_assignment`.
+
+Greedy solves no assignment. One sort per block of ``_BLOCK`` slots puts
+each slot's rows in bid order, and the rounds run over Python lists
+(:func:`_greedy_rounds`): on slots of about twenty rows, per-slot numpy
+calls cost more than the work they do.
 """
 
 from __future__ import annotations
@@ -265,15 +270,9 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     return Schedule.from_mask(estimates, served, {"scheduler": "rr"})
 
 
-def _slot_local(slot: np.ndarray, ids: np.ndarray, caps: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Each row's index among the distinct satellites (or stations) of its
-    slot, in id order; the capacity of every (slot, id), in table order; and
-    where each occupied slot's entries of it start, with a final stop."""
-    keys, inverse = np.unique(slot * len(caps) + ids, return_inverse=True)
-    first = np.minimum.reduceat(inverse, lo) if len(lo) else lo
-    return (inverse - np.repeat(first, hi - lo), caps[keys % len(caps)],
-            np.append(first, len(keys)))
+# slots per block of the greedy kernel; bounds the Python lists it holds
+# and keeps each block's sort in cache
+_BLOCK = 256
 
 
 def run_greedy(estimates: EstimateTable) -> Schedule:
@@ -284,45 +283,79 @@ def run_greedy(estimates: EstimateTable) -> Schedule:
     oversubscribed satellite takes the claimants it has accumulated the
     fewest key bits with (station index breaks ties); losers re-bid among
     the satellites still free this slot.
+
+    The slots go in blocks of ``_BLOCK``. One sort puts a block's rows in
+    bid order (slot, station, key bits descending, satellite), and a kernel
+    over Python lists runs the block's rounds. Sorting by block gives the
+    order one whole-table sort would, since slots lead it, but each sort
+    stays in cache; on a full global day that is four times faster. Key
+    bits must be finite, so that the pools order the claimants totally.
     """
+    bits = estimates.key_bits
+    if not np.all(np.isfinite(bits)):
+        raise ValueError("non-finite key bits in the estimate table")
     link = _links(estimates)
-    pool = np.zeros(estimates.n_sats * estimates.n_stations)
-    served = np.zeros(len(estimates), dtype=bool)
     lo, hi = estimates.slot_spans()
-    si_all, tx_all, sat_at = _slot_local(estimates.slot, estimates.sat,
-                                         estimates.transmitters, lo, hi)
-    gi_all, rx_all, station_at = _slot_local(estimates.slot, estimates.station,
-                                             estimates.receivers, lo, hi)
-    # head[0] stays True: the first bid of a sorted candidate list
-    head = np.ones(int((hi - lo).max(initial=1)), dtype=bool)
-    for a, b, s0, s1, g0, g1 in zip(lo.tolist(), hi.tolist(), sat_at[:-1].tolist(),
-                                    sat_at[1:].tolist(), station_at[:-1].tolist(),
-                                    station_at[1:].tolist()):
-        si, gi = si_all[a:b], gi_all[a:b]
-        # the slot's own capacity entries: claims consume rx in place
-        tx, rx = tx_all[s0:s1], rx_all[g0:g1]
-        w, l = estimates.key_bits[a:b], link[a:b]
-        open_ = np.ones(b - a, dtype=bool)
-        while True:
-            cand = np.flatnonzero(open_ & (tx[si] > 0) & (rx[gi] > 0))
-            if not len(cand):
-                break
-            # each station bids on its best offer, lowest satellite on ties
-            cand = cand[np.lexsort((si[cand], -w[cand], gi[cand]))]
-            first = head[:len(cand)]
-            gc = gi[cand]
-            np.not_equal(gc[1:], gc[:-1], out=first[1:])
-            bid = cand[first]
-            # each satellite keeps its first tx claimants by (pool, station)
-            bid = bid[np.lexsort((gi[bid], pool[l[bid]], si[bid]))]
-            rank = np.arange(len(bid)) - np.searchsorted(si[bid], si[bid])
-            win = bid[rank < tx[si[bid]]]
-            tx = np.maximum(tx - np.bincount(si[bid], minlength=len(tx)), 0)
-            rx[gi[win]] -= 1
-            open_[win] = False
-            pool[l[win]] += w[win]
-            served[a + win] = True
+    pool = [0.0] * (estimates.n_sats * estimates.n_stations)
+    served = np.zeros(len(estimates), dtype=bool)
+    for first in range(0, len(lo), _BLOCK):
+        start, stop = int(lo[first]), int(hi[min(first + _BLOCK, len(lo)) - 1])
+        part = slice(start, stop)
+        rows = start + np.lexsort((estimates.sat[part], -bits[part], estimates.station[part],
+                                   estimates.slot[part]))
+        sat, station = estimates.sat[rows], estimates.station[rows]
+        won = _greedy_rounds((hi[first:first + _BLOCK] - start).tolist(), sat.tolist(),
+                             station.tolist(), estimates.transmitters[sat].tolist(),
+                             estimates.receivers[station].tolist(), link[rows].tolist(),
+                             bits[rows].tolist(), pool)
+        served[rows[won]] = True
     return Schedule.from_mask(estimates, served, {"scheduler": "greedy"})
+
+
+def _greedy_rounds(stops, sat, station, tx_cap, rx_cap, link, bits, pool) -> list:
+    """Greedy's rounds over consecutive slots ending at ``stops``, whose
+    rows are in bid order; each row carries its satellite's and station's
+    capacity. Adds the winners' bits to ``pool`` and returns their rows.
+
+    A round walks the slot's open rows once, and a station bids with its
+    first row whose satellite and station both have capacity left; rows
+    without capacity never bid again, so the walk drops them. A satellite
+    keeps the first ``tx`` of its claimants by (pool, station), and its
+    ``tx`` then drops by the number of claimants, floored at zero.
+    """
+    won = []
+    a = 0
+    for b in stops:
+        tx = dict(zip(sat[a:b], tx_cap[a:b]))
+        rx = dict(zip(station[a:b], rx_cap[a:b]))
+        cand, closed = range(a, b), set()
+        while True:
+            keep, bids, last = [], [], -1
+            for r in cand:
+                g = station[r]
+                if rx[g] > 0 and tx[sat[r]] > 0 and r not in closed:
+                    keep.append(r)
+                    if g != last:
+                        last = g
+                        bids.append((sat[r], pool[link[r]], g, r))
+            if not bids:
+                break
+            # by satellite, then pool, then station; a station bids once a round
+            bids.sort()
+            last = -1
+            for s, have, g, r in bids:
+                if s != last:
+                    last, cap, k = s, tx[s], 0
+                k += 1
+                tx[s] = cap - k if cap > k else 0
+                if k <= cap:
+                    rx[g] -= 1
+                    pool[link[r]] = have + bits[r]
+                    closed.add(r)
+                    won.append(r)
+            cand = keep
+        a = b
+    return won
 
 
 def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> MinRateProfile:

@@ -288,3 +288,44 @@ def test_estimate_table_rejects_duplicate_triple():
         make_table(2, 2, 2, [(1, 0, 0, 2.0), (0, 1, 1, 5.0), (0, 1, 1, 1.0)])
     # the same link in another slot is no repeat
     assert len(make_table(2, 2, 2, [(0, 1, 1, 5.0), (1, 1, 1, 1.0)])) == 2
+
+
+def _index_table(slot, sat, station, n_sats=3, n_stations=3):
+    zeros = np.zeros(len(slot))
+    return EstimateTable(
+        n_slots=4, n_sats=n_sats, n_stations=n_stations, slot=np.array(slot),
+        sat=np.array(sat), station=np.array(station), transmissivity=zeros,
+        successes=zeros, qber=zeros, rate=zeros, cloud=zeros,
+        key_bits=np.arange(len(slot), dtype=float))
+
+
+def test_estimate_table_sorts_shuffled_rows():
+    rng = np.random.default_rng(11)
+    n = 60
+    slot, sat, station = rng.integers(0, 4, n), rng.integers(0, 3, n), rng.integers(0, 3, n)
+    _, first = np.unique(slot * 9 + sat * 3 + station, return_index=True)
+    keep = rng.permutation(first)
+    slot, sat, station = slot[keep], sat[keep], station[keep]
+    table = _index_table(slot, sat, station)
+    order = np.lexsort((station, sat, slot))
+    assert not np.array_equal(order, np.arange(len(order)))
+    for name, column in (("slot", slot), ("sat", sat), ("station", station),
+                         ("key_bits", np.arange(len(slot), dtype=float))):
+        assert np.array_equal(getattr(table, name), column[order]), name
+
+
+def test_shuffled_duplicates_name_the_first_in_table_order():
+    with pytest.raises(ValueError, match=r"\(1, 0, 1\)"):
+        _index_table([2, 1, 2, 1, 0], [2, 0, 2, 0, 2], [2, 1, 2, 1, 0])
+
+
+@pytest.mark.parametrize("sat, station, message", [
+    ([0, 3], [0, 0], r"satellite index out of range \[0, 3\)"),
+    ([0, -1], [0, 0], "satellite index"),
+    ([0, 0], [0, 3], "station index"),
+    ([0, 0], [-1, 0], "station index"),
+])
+def test_estimate_table_rejects_out_of_range_index(sat, station, message):
+    # out-of-range indices would make the single sort key alias other rows
+    with pytest.raises(ValueError, match=message):
+        _index_table([0, 1], sat, station)

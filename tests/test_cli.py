@@ -437,6 +437,17 @@ def test_malformed_table_is_an_input_error(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+def test_run_rejects_non_finite_key_bits(tmp_path, capsys):
+    table = tmp_path / "nan.csv"
+    table.write_text(HEADER + "\n" + ROW + "\n0,1,2,0.0,3.0,0.0,1.0,0.0,nan\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--table", str(table), "--schedulers", "greedy", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input:") and "non-finite key bits" in err
+    assert not out.exists()
+
+
 def test_readme_dump_replays_to_the_same_artifacts(tmp_path):
     # a --table replay of the README toy command's dump sees the scenario's
     # slot count, ids and capacities, so every other artifact repeats

@@ -119,6 +119,22 @@ def test_visibility_sorted_and_tau():
         assert table.tau[s] == len(np.unique(table.slot[mask]))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 50])
+def test_visibility_sorted_across_chunks(monkeypatch, chunk):
+    # the scan emits rows in table order chunk by chunk, with no final sort
+    scn = _small_scenario()
+    whole = orbit.build_visibility(scn)
+    assert scn.time.slot_count <= orbit._CHUNK
+    monkeypatch.setattr(orbit, "_CHUNK", chunk)
+    table = orbit.build_visibility(scn)
+    order = np.lexsort((table.station, table.sat, table.slot))
+    assert np.array_equal(order, np.arange(len(table)))
+    for name in ("slot", "sat", "station"):
+        assert np.array_equal(getattr(table, name), getattr(whole, name)), name
+    for name in ("elevation_deg", "distance_km"):
+        assert getattr(table, name) == pytest.approx(getattr(whole, name), rel=1e-12)
+
+
 def test_threshold_inclusive_edge():
     """A satellite exactly at the cutoff dot product is kept."""
     # verify the closed-form cutoff against the direct elevation formula

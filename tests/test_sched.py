@@ -99,6 +99,31 @@ def test_greedy_loser_rebids_same_slot():
     assert served == {(0, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("banked, winner", [(1.5, 0), (np.nextafter(1.5, 2.0), 1)])
+def test_greedy_equal_pools_go_to_the_lower_station(banked, winner):
+    """Station 1 has banked 1.5 bits with satellite 0 when both stations
+    claim it in slot 2. If station 0 has banked exactly as much, its index
+    wins although station 1 offers more, and station 1 re-bids for
+    satellite 1; one ulp more and station 1 wins."""
+    rows = [(0, 0, 1, 1.5), (1, 0, 0, banked), (2, 0, 0, 1.0), (2, 0, 1, 5.0),
+            (2, 1, 1, 0.5)]
+    table = make_table(3, 2, 2, rows)
+    out = sched.run_greedy(table)
+    check_schedule(out, table)
+    slot_2 = [(s, g) for t, s, g in zip(out.slot.tolist(), out.sat.tolist(),
+                                         out.station.tolist()) if t == 2]
+    assert slot_2 == ([(0, 0), (1, 1)] if winner == 0 else [(0, 1)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_rejects_non_finite_key_bits(bad):
+    # a NaN pool has no place in the claimants' (pool, station) order
+    table = make_table(2, 1, 2, [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0)])
+    table.key_bits[1] = bad
+    with pytest.raises(ValueError, match="non-finite key bits"):
+        sched.run_greedy(table)
+
+
 def test_greedy_respects_transmitter_capacity():
     table = _full_table(2, 1, 3, lambda t, s, g: 1.0 + g, transmitters=[2])
     out = sched.run_greedy(table)
@@ -409,17 +434,9 @@ def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
     assert hall and two_capacity
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
-       st.floats(0.1, 0.9), st.booleans())
-@example(seed=1, n_sats=3, n_stations=4, density=0.9, tied=True)
-def test_greedy_matches_per_slot_reference(seed, n_sats, n_stations, density, tied):
-    """The pre-indexed greedy serves the rows the slot-by-slot one did.
-
-    Capacities run from 1 to 3, key bits tie (small integers) or not, and
-    every third slot holds a single row.
-    """
-    rng = np.random.default_rng(seed)
+def _greedy_case(rng, n_sats, n_stations, density, tied):
+    """Ten slots under capacities of 1 to 3, with key bits that tie (small
+    integers) or not; every third slot holds a single row."""
     rows = []
     for t in range(10):
         links = [(s, g) for s in range(n_sats) for g in range(n_stations)
@@ -429,12 +446,32 @@ def test_greedy_matches_per_slot_reference(seed, n_sats, n_stations, density, ti
         for s, g in links:
             bits = float(rng.integers(0, 3)) if tied else float(rng.random() * 4.0)
             rows.append((t, s, g, bits))
-    table = make_table(10, n_sats, n_stations, rows,
-                       transmitters=rng.integers(1, 4, n_sats),
-                       receivers=rng.integers(1, 4, n_stations))
+    return make_table(10, n_sats, n_stations, rows,
+                      transmitters=rng.integers(1, 4, n_sats),
+                      receivers=rng.integers(1, 4, n_stations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
+       st.floats(0.1, 0.9), st.booleans())
+@example(seed=1, n_sats=3, n_stations=4, density=0.9, tied=True)
+def test_greedy_matches_per_slot_reference(seed, n_sats, n_stations, density, tied):
+    """The list kernel serves the rows the slot-by-slot array greedy did."""
+    table = _greedy_case(np.random.default_rng(seed), n_sats, n_stations, density, tied)
     got = sched.run_greedy(table)
     _assert_same_schedule(got, reference_run_greedy_per_slot(table))
     check_schedule(got, table)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_greedy_blocks_match_per_slot_reference(rng, monkeypatch, block):
+    """Greedy's rounds run a few slots at a time serve what the slot-by-slot
+    array greedy serves, so the pools carry across block boundaries."""
+    monkeypatch.setattr(sched, "_BLOCK", block)
+    for trial in range(30):
+        table = _greedy_case(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)),
+                             float(rng.uniform(0.1, 0.9)), tied=trial % 4 != 3)
+        _assert_same_schedule(sched.run_greedy(table), reference_run_greedy_per_slot(table))
 
 
 def test_greedy_on_a_table_the_filter_empties():
