@@ -9,9 +9,12 @@ Artifacts are assembled in a staging directory and moved into place with a
 single rename, so an interrupted run never leaves a half-written output
 tree behind, and a run that fails removes its staging directory. Each
 base schedule (rr, greedy) is computed once per run and shared with the
-opportunistic scheduler that takes its rate floors from it. All writers
-are deterministic: repeating a run with the same inputs reproduces every
-artifact byte for byte.
+opportunistic scheduler that takes its rate floors from it. With more
+than one usable CPU, ``--dump-estimates`` writes ``estimates.csv`` from a
+forked child while the schedulers run; the run waits for it before the
+swap, and a failed or aborted run kills it. All writers are deterministic:
+repeating a run with the same inputs reproduces every artifact byte for
+byte.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .sched import (
     run_rr,
 )
 from .weather import WeatherError, apply_filter, cloud_matrix, load_clouds
+from .workers import fork_context
 
 SCHEDULERS = ("rr", "greedy", "op-rr", "op-greedy", "maxmin", "maxsum")
 
@@ -162,6 +166,9 @@ def _cmd_run(args) -> int:
                               "own cloud column")
     if any(name.startswith("op-") for name in names):
         check_opportunistic(args.delta, args.max_passes)
+    out = Path(args.out)
+    if out.exists() and not args.force:
+        raise CliError("cli", f"output directory '{out}' exists (use --force)")
 
     if args.scenario:
         _verbose(f"loading scenario {args.scenario}")
@@ -181,14 +188,14 @@ def _cmd_run(args) -> int:
         table = apply_filter(table, args.filter_threshold)
     _verbose(f"{len(table)} usable link-slots after filtering")
 
-    out = Path(args.out)
-    if out.exists() and not args.force:
-        raise CliError("cli", f"output directory '{out}' exists (use --force)")
     staging = out.parent / (out.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
+    dump = _Dump(table, staging / "estimates.csv") if args.dump_estimates else None
     try:
+        if dump is not None:
+            dump.start()
         pairs = station_pairs(table.n_stations)
         reports, bases = [], {}
         for name in names:
@@ -220,10 +227,13 @@ def _cmd_run(args) -> int:
                 "solver_nodes": args.solver_nodes, "seed": args.seed,
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if args.dump_estimates:
-            write_estimates_csv(table, staging / "estimates.csv")
+        if dump is not None:
+            dump.finish()
     except BaseException:
-        # an aborted run leaves neither a staging tree nor a partial output
+        # an aborted run leaves neither a running dump, a staging tree nor a
+        # partial output
+        if dump is not None:
+            dump.abort()
         shutil.rmtree(staging, ignore_errors=True)
         raise
     # the staging tree is complete: if the swap fails, it stays in place
@@ -232,6 +242,59 @@ def _cmd_run(args) -> int:
     staging.rename(out)
     print(f"wrote {len(names)} scheduler run(s) to {out}")
     return 0
+
+
+class _Dump:
+    """The ``--dump-estimates`` writer. Where a fork context is available,
+    ``start`` forks a child that writes while the parent schedules, and
+    ``finish`` waits for it and raises the child's exception; otherwise
+    ``finish`` writes the file itself."""
+
+    def __init__(self, table: EstimateTable, path: Path):
+        self._table, self._path, self._proc = table, path, None
+
+    def start(self) -> None:
+        ctx = fork_context()
+        if ctx is None:
+            return
+        self._result, send = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(target=_dump_child, daemon=True,
+                                 args=(self._table, self._path, send))
+        self._proc.start()
+        send.close()
+
+    def finish(self) -> None:
+        if self._proc is None:
+            write_estimates_csv(self._table, self._path)
+            return
+        try:
+            error = self._result.recv()
+        except EOFError:
+            # the child died before it could report
+            self._proc.join()
+            error = CliError("cli", f"estimate dump process exited with "
+                                    f"code {self._proc.exitcode}")
+        self._proc.join()
+        self._result.close()
+        if error is not None:
+            raise error
+
+    def abort(self) -> None:
+        if self._proc is not None and self._proc.pid is not None:
+            self._proc.kill()
+            self._proc.join()
+            self._result.close()
+
+
+def _dump_child(table, path, send) -> None:
+    """Write the dump and send the parent None or the exception it raised."""
+    error = None
+    try:
+        write_estimates_csv(table, path)
+    except Exception as exc:
+        error = exc
+    send.send(error)
+    send.close()
 
 
 def _execute(name, table, pairs, args, sub, bases):

@@ -1,18 +1,24 @@
 """End-to-end command line behaviour and artifact determinism."""
 
 import csv
+import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+from qkdsched import workers
 from qkdsched.channel import read_estimates_csv
 from qkdsched.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _synth(tmp_path, name="table.csv", seed=7, slots=30, sats=2, stations=3,
@@ -227,6 +233,125 @@ def test_failed_swap_keeps_complete_staging(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "rename", broken)
     assert main([*argv, "--force"]) == 2
     assert _tree(tmp_path / "out.staging") == finished
+
+
+def test_existing_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # without --force, an existing --out stops the run before the scenario
+    # is scanned or the table parsed
+    import qkdsched.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the --out check")
+
+    monkeypatch.setattr(cli, "build_visibility", forbidden)
+    monkeypatch.setattr(cli, "read_estimates_csv", forbidden)
+    out = tmp_path / "out"
+    out.mkdir()
+    for source in (["--scenario", str(SCENARIOS / "toy_equator.ini")],
+                   ["--table", str(_synth(tmp_path))]):
+        assert main(["run", *source, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cli: output directory '{out}' exists (use --force)\n")
+
+
+@pytest.fixture
+def forked_dump(monkeypatch):
+    """Write the estimate dump from a forked child, as on a multi-core host."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+
+
+def _dump_argv(tmp_path, out):
+    return ["run", "--table", str(_synth(tmp_path)), "--schedulers", "rr,greedy",
+            "--dump-estimates", "--out", str(out)]
+
+
+def test_background_dump_matches_inline(tmp_path, monkeypatch):
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"out{cpus}"
+        assert main(_dump_argv(tmp_path, out)) == 0
+        trees.append(_tree(out))
+    assert "estimates.csv" in trees[0]
+    assert trees[0] == trees[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_scheduler_error_stops_background_dump(tmp_path, monkeypatch, forked_dump):
+    import qkdsched.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(cli, "run_greedy", broken)
+    out = tmp_path / "out"
+    assert main(_dump_argv(tmp_path, out)) == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.staging").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, cpus):
+    # the child's exception reaches the parent, which reports it as the
+    # inline writer's would be
+    import qkdsched.cli as cli
+
+    def full(table, path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    out = tmp_path / "out"
+    argv = _dump_argv(tmp_path, out)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "write_estimates_csv", full)
+    assert main(argv) == 2
+    dump = tmp_path / "out.staging" / "estimates.csv"
+    assert capsys.readouterr().err == (
+        f"error: io: [Errno 28] No space left on device: '{dump}'\n")
+    assert not out.exists()
+    assert not (tmp_path / "out.staging").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_dump_child_that_dies_is_reported(tmp_path, monkeypatch, capsys, forked_dump):
+    import qkdsched.cli as cli
+
+    out = tmp_path / "out"
+    argv = _dump_argv(tmp_path, out)
+    monkeypatch.setattr(cli, "write_estimates_csv", lambda *a, **k: os._exit(3))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cli: estimate dump process exited with code 3\n")
+    assert not out.exists()
+    assert not (tmp_path / "out.staging").exists()
+
+
+def test_abort_kills_background_dump(tmp_path, monkeypatch, forked_dump):
+    # a BaseException (a budget alarm, Ctrl-C) still kills and reaps the
+    # child before the staging tree goes
+    import qkdsched.cli as cli
+
+    class Abort(BaseException):
+        pass
+
+    def stuck(*args, **kwargs):
+        time.sleep(60)
+
+    def abort(*args, **kwargs):
+        assert len(multiprocessing.active_children()) == 1
+        raise Abort
+
+    out = tmp_path / "out"
+    argv = _dump_argv(tmp_path, out)
+    monkeypatch.setattr(cli, "write_estimates_csv", stuck)
+    monkeypatch.setattr(cli, "run_rr", abort)
+    start = time.monotonic()
+    with pytest.raises(Abort):
+        main(argv)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+    assert not (tmp_path / "out.staging").exists()
 
 
 @pytest.mark.parametrize("base", ["rr", "greedy"])

@@ -1,13 +1,19 @@
+import dataclasses
 import math
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkdsched import orbit
+from qkdsched import orbit, workers
 from conftest import (reference_elevation_distance, reference_propagate,
                       reference_station_position)
 from qkdsched.scenario import (ChannelParams, GroundStation, SatelliteSpec,
-                               Scenario, TimeGrid, build_polar_constellation)
+                               Scenario, TimeGrid, build_polar_constellation,
+                               load_scenario)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_orbital_period_value():
@@ -119,20 +125,46 @@ def test_visibility_sorted_and_tau():
         assert table.tau[s] == len(np.unique(table.slot[mask]))
 
 
+_COLUMNS = ("slot", "sat", "station", "elevation_deg", "distance_km", "tau")
+
+
+def _same_bytes(a, b):
+    for name in _COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 50])
 def test_visibility_sorted_across_chunks(monkeypatch, chunk):
-    # the scan emits rows in table order chunk by chunk, with no final sort
+    # the scan emits rows in table order chunk by chunk, with no final sort;
+    # two forked workers get several chunks each
     scn = _small_scenario()
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     whole = orbit.build_visibility(scn)
     assert scn.time.slot_count <= orbit._CHUNK
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(orbit, "_CHUNK", chunk)
+    assert scn.time.slot_count > 2 * 2 * max(1, chunk // 2)
     table = orbit.build_visibility(scn)
     order = np.lexsort((table.station, table.sat, table.slot))
     assert np.array_equal(order, np.arange(len(table)))
-    for name in ("slot", "sat", "station"):
-        assert np.array_equal(getattr(table, name), getattr(whole, name)), name
-    for name in ("elevation_deg", "distance_km"):
-        assert getattr(table, name) == pytest.approx(getattr(whole, name), rel=1e-12)
+    _same_bytes(table, whole)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_scan_matches_single_chunk_on_global_cut(monkeypatch):
+    # the 400-satellite constellation over three worker chunks against one
+    # inline chunk of the same slots
+    scn = load_scenario(SCENARIOS / "global_a500.ini")
+    scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    assert scn.time.slot_count > orbit._CHUNK // 2 * 2
+    pooled = orbit.build_visibility(scn)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(orbit, "_CHUNK", scn.time.slot_count)
+    single = orbit.build_visibility(scn)
+    assert len(single) > 0
+    _same_bytes(pooled, single)
 
 
 def test_threshold_inclusive_edge():
@@ -159,12 +191,7 @@ def test_regional_day_mean_usable_slots():
     satellite; the scan should land within 15% despite differing frame
     conventions.
     """
-    from pathlib import Path
-
-    from qkdsched.scenario import load_scenario
-
-    scn = load_scenario(Path(__file__).resolve().parent.parent
-                        / "scenarios" / "regional_a1000.ini")
+    scn = load_scenario(SCENARIOS / "regional_a1000.ini")
     table = orbit.build_visibility(scn)
     mean_usable = float(table.tau.mean())
     assert 2487 * 0.85 <= mean_usable <= 2487 * 1.15
