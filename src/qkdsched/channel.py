@@ -172,7 +172,7 @@ class EstimateTable:
 
     def slot_spans(self) -> tuple:
         """Row bounds (start, stop) of every occupied slot, in slot order."""
-        t = np.unique(self.slot)
+        t = np.flatnonzero(np.diff(self._bounds))
         return self._bounds[t], self._bounds[t + 1]
 
     @property
@@ -185,7 +185,7 @@ class EstimateTable:
 
     def tau(self) -> np.ndarray:
         """Per-satellite count of slots with at least one usable link."""
-        return usable_slot_counts(self.slot, self.sat, self.n_slots, self.n_sats)
+        return usable_slot_counts(self.slot, self.sat, self.n_sats)
 
     def take(self, mask: np.ndarray) -> "EstimateTable":
         """New table with the masked-in rows only."""

@@ -94,10 +94,13 @@ def choice_histograms(table) -> dict:
     out = {}
     for view, entity, n_entities in (("satellite", table.sat, table.n_sats),
                                      ("station", table.station, table.n_stations)):
-        cells = np.bincount(entity.astype(np.int64) * table.n_slots
-                            + table.slot.astype(np.int64),
-                            minlength=n_entities * table.n_slots)
-        hist = np.bincount(cells)
+        cells = n_entities * table.n_slots
+        # only the occupied cells are counted; the others make the zero bin,
+        # which a table without cells does not have
+        _, choices = np.unique(entity.astype(np.int64) * table.n_slots
+                               + table.slot.astype(np.int64), return_counts=True)
+        hist = np.bincount(choices, minlength=min(cells, 1))
+        hist[:1] = cells - len(choices)
         out[view] = {int(k): int(m) for k, m in enumerate(hist) if m > 0 or k == 0}
     return out
 

@@ -5,6 +5,15 @@ stations ride the rotating surface at the sidereal rate. Geometry is
 evaluated at slot starts. The visibility table is the sparse list of
 (slot, satellite, station) triples whose elevation clears the scenario
 threshold, with the elevation and slant range attached.
+
+The scan runs in one process and in two passes over blocks of about 30 s
+of slots, after the coarse-step window search of Alfano, Negron & Moore,
+"Rapid determination of satellite visibility periods", J. Astronautical
+Sciences 40(2), 1992. A satellite-station dot product changes by at most
+r * Re * (omega + omega_E) per second, so one coarse evaluation at a
+block's centre bounds it at every slot of the block; the fine pass
+evaluates the block's slots for the satellites whose bound reaches the
+cutoff only.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import workers
 from .scenario import Scenario
 
 EARTH_RADIUS_KM = 6371.0
@@ -23,11 +31,14 @@ MU_KM3_S2 = 398600.4418
 SIDEREAL_DAY_S = 86164.0905
 EARTH_ROT_RAD_S = 2.0 * math.pi / SIDEREAL_DAY_S
 
-# slots in flight at once when scanning a full day, shared evenly by the
-# scan's workers; for 400 satellites and 11 stations the (chunk, S, G) dot
-# products of all of them take 72 MB, and each worker's other arrays about
-# 20 MB more
-_CHUNK = 2048
+# flight time per block of the scan; a satellite moves about 2 degrees of
+# arc in it, so a block has few candidates besides the satellites in view
+_BLOCK_S = 30.0
+# blocks scanned together, by one coarse and one fine set of array
+# operations; for 400 satellites and 11 stations, 32 of them hold 1.1 MB of
+# coarse (block, S, G) dot products, where a whole day would take 101 MB,
+# and their 30-s slots about 4 MB of fine ones
+_GROUP_BLOCKS = 32
 
 
 def orbital_angular_rate(altitude_km: float) -> float:
@@ -40,14 +51,18 @@ def orbital_period(altitude_km: float) -> float:
     return 2.0 * math.pi / orbital_angular_rate(altitude_km)
 
 
-def usable_slot_counts(slot: np.ndarray, sat: np.ndarray, n_slots: int,
-                       n_sats: int) -> np.ndarray:
-    """Per-satellite count of distinct slots among the (slot, sat) rows."""
-    out = np.zeros(n_sats, dtype=np.int64)
-    key = np.asarray(sat, dtype=np.int64) * n_slots + slot
-    sats, counts = np.unique(np.unique(key) // n_slots, return_counts=True)
-    out[sats] = counts
-    return out
+def usable_slot_counts(slot: np.ndarray, sat: np.ndarray, n_sats: int) -> np.ndarray:
+    """Per-satellite count of distinct slots among the (slot, sat) rows.
+
+    The rows must be sorted by slot and then satellite, as visibility and
+    estimate tables are, so that each (slot, satellite) pair is one run of
+    rows; the first row of each run is counted.
+    """
+    sat = np.asarray(sat, dtype=np.int64)
+    key = np.asarray(slot, dtype=np.int64) * n_sats + sat
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return np.bincount(sat[first], minlength=n_sats)
 
 
 @dataclass
@@ -72,7 +87,7 @@ class VisibilityTable:
 
     def __post_init__(self):
         if self.tau is None:
-            self.tau = usable_slot_counts(self.slot, self.sat, self.n_slots, self.n_sats)
+            self.tau = usable_slot_counts(self.slot, self.sat, self.n_sats)
 
     def __len__(self):
         return len(self.slot)
@@ -93,7 +108,7 @@ def _dot_threshold(altitude_km: float, min_elevation_deg: float) -> float:
 
 
 class _Geometry(NamedTuple):
-    """What a chunk of the scan needs; small enough to send to a worker."""
+    """The constellation and stations as the scan's arrays."""
 
     slot_s: float
     radius_km: float
@@ -107,23 +122,26 @@ class _Geometry(NamedTuple):
     sin_thresh: float
 
 
-def _scan_chunk(geo: _Geometry, start: int, stop: int) -> tuple:
-    """The above-threshold triples of slots [start, stop), in table order:
-    slot, satellite, station, elevation and distance arrays."""
-    r = geo.radius_km
-    t = np.arange(start, stop, dtype=float) * geo.slot_s      # (T,)
+def _dots(geo: _Geometry, sats: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(T, C, G) dot products of satellites with every station at the T
+    times ``t``; row i of the (T, C) or (1, C) index array ``sats`` names
+    the satellites of time i.
 
-    nu = geo.nu0[:, None] + geo.omega * t[None, :]            # (S, T)
+    Each entry is the same double whichever times and satellites are asked
+    for, as long as C >= 2: numpy hands a one-row product to gemv, whose
+    sums can differ from gemm's in the last bit.
+    """
+    r = geo.radius_km
+    nu = geo.nu0[sats] + geo.omega * t[:, None]               # (T, C)
     cos_nu = np.cos(nu)
-    # position = r * (cos nu * node + sin nu * z), written slot-major for the
-    # batched product below. Dropping the zero terms of that sum (sin nu * 0
-    # in x and y, cos nu * 0 in z) can change only the sign of an exact zero
-    # coordinate, hence of an exact zero dot product, and a zero dot never
-    # reaches the cutoff, which is positive
-    sat_pos = np.empty((len(t), len(nu), 3))                 # (T, S, 3)
-    np.multiply(cos_nu * geo.cos_raan[:, None], r, out=sat_pos[:, :, 0].T)
-    np.multiply(cos_nu * geo.sin_raan[:, None], r, out=sat_pos[:, :, 1].T)
-    np.multiply(np.sin(nu), r, out=sat_pos[:, :, 2].T)
+    # position = r * (cos nu * node + sin nu * z). Dropping the zero terms of
+    # that sum (sin nu * 0 in x and y, cos nu * 0 in z) can change only the
+    # sign of an exact zero coordinate, hence of an exact zero dot product,
+    # and a zero dot never reaches the cutoff, which is positive
+    sat_pos = np.empty(nu.shape + (3,))                      # (T, C, 3)
+    np.multiply(cos_nu * geo.cos_raan[sats], r, out=sat_pos[:, :, 0])
+    np.multiply(cos_nu * geo.sin_raan[sats], r, out=sat_pos[:, :, 1])
+    np.multiply(np.sin(nu), r, out=sat_pos[:, :, 2])
 
     lon = geo.lon0[:, None] + EARTH_ROT_RAD_S * t[None, :]    # (G, T)
     st_pos = np.stack([
@@ -132,26 +150,39 @@ def _scan_chunk(geo: _Geometry, start: int, stop: int) -> tuple:
         np.broadcast_to(np.sin(geo.lat)[:, None], lon.shape),
     ], axis=2) * EARTH_RADIUS_KM                              # (G, T, 3)
 
-    # batched (S x 3) @ (3 x G) per slot
-    dots = np.matmul(sat_pos, st_pos.transpose(1, 2, 0))      # (T, S, G)
-    # hits come in C order, (slot, satellite, station), and chunks in slot
+    # batched (C x 3) @ (3 x G) per time
+    return np.matmul(sat_pos, st_pos.transpose(1, 2, 0))
+
+
+def _scan_slots(geo: _Geometry, sats: np.ndarray, start: int, stop: int) -> tuple:
+    """The above-threshold triples of slots [start, stop) among the
+    satellites of the (T, C) index array ``sats``, whose rows list each
+    slot's satellites in order, in table order: slot, satellite, station,
+    elevation and distance arrays."""
+    r = geo.radius_km
+    t = np.arange(start, stop, dtype=float) * geo.slot_s
+    dots = _dots(geo, sats, t)
+    # hits come in C order, (slot, satellite, station), and groups in slot
     # order, so the table needs no sort
-    ti, si, gi = np.nonzero(dots >= geo.cutoff)
-    d = dots[ti, si, gi]
+    hit = np.flatnonzero(dots >= geo.cutoff)
+    d = dots.reshape(-1)[hit]
+    ti, ci = np.divmod(hit, dots.shape[1] * dots.shape[2])
+    ci, gi = np.divmod(ci, dots.shape[2])
     dist = np.sqrt(r * r + EARTH_RADIUS_KM**2 - 2.0 * d)
     sin_el = (d - EARTH_RADIUS_KM**2) / (dist * EARTH_RADIUS_KM)
     elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
     # the squared cutoff can admit values a hair under threshold
     keep = sin_el >= geo.sin_thresh - 1e-12
-    return ((ti + start)[keep], si[keep], gi[keep], elev[keep], dist[keep])
+    return ((ti + start)[keep], sats[ti, ci][keep], gi[keep], elev[keep], dist[keep])
 
 
 def build_visibility(scenario: Scenario) -> VisibilityTable:
     """Scan every slot and return the above-threshold triples.
 
-    The slots are scanned in chunks; with more than one usable CPU the
-    chunks go to one forked worker per CPU, each with an equal share of
-    ``_CHUNK`` slots at a time.
+    A coarse pass at the centre of each block of about ``_BLOCK_S`` seconds
+    keeps as candidates the satellites whose largest dot product with any
+    station, plus how far it can move within the block, reaches the cutoff;
+    the fine pass scans the block's slots for those satellites only.
     """
     time = scenario.time
     alt = scenario.sat_spec.altitude_km
@@ -171,15 +202,33 @@ def build_visibility(scenario: Scenario) -> VisibilityTable:
         sin_thresh=math.sin(math.radians(scenario.min_elevation_deg)),
     )
 
-    ctx = workers.fork_context()
-    n_workers = workers.usable_cpus() if ctx is not None else 1
-    size = max(1, _CHUNK // n_workers)
-    tasks = [(geo, a, min(a + size, n_slots)) for a in range(0, n_slots, size)]
-    if ctx is None or len(tasks) < 2:
-        parts = [_scan_chunk(*task) for task in tasks]
-    else:
-        with ctx.Pool(min(n_workers, len(tasks))) as pool:
-            parts = pool.starmap(_scan_chunk, tasks, chunksize=1)
+    # |d(sat . station)/dt| <= |sat'| |station| + |sat| |station'|
+    #                        <= r Re omega + r Re omega_E cos(lat)
+    drift = geo.radius_km * EARTH_RADIUS_KM * (geo.omega + EARTH_ROT_RAD_S)
+    # far above the rounding of either pass's dot products
+    slack = 1e-6 * geo.radius_km * EARTH_RADIUS_KM
+    block = max(1, round(_BLOCK_S / geo.slot_s))
+    starts = np.arange(0, n_slots, block)
+    stops = np.minimum(starts + block, n_slots)
+    centre = (starts + stops - 1) * (0.5 * geo.slot_s)
+    margin = drift * (stops - 1 - starts) * (0.5 * geo.slot_s) + slack
+
+    every_sat = np.arange(n_sats)[None, :]
+    parts = []
+    for lo in range(0, len(starts), _GROUP_BLOCKS):
+        part = slice(lo, lo + _GROUP_BLOCKS)
+        peak = _dots(geo, every_sat, centre[part]).max(axis=2)
+        reach = peak + margin[part, None] >= geo.cutoff            # (B, S)
+        width = int(reach.sum(axis=1).max())
+        if width == 1 and n_sats > 1:
+            # a second column keeps the fine products gemms (see _dots)
+            width = 2
+        if width:
+            # each block's candidates in satellite order, then satellites
+            # that are none and so have no hit within the block
+            sats = np.argsort(~reach, axis=1, kind="stable")[:, :width]
+            sats = np.repeat(sats, stops[part] - starts[part], axis=0)
+            parts.append(_scan_slots(geo, sats, int(starts[lo]), int(stops[part][-1])))
 
     if parts:
         slot, sat, station, elev, dist = (np.concatenate(c) for c in zip(*parts))

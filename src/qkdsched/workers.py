@@ -1,9 +1,10 @@
-"""Forked worker processes for the stages that can use more than one core.
+"""Forked child processes for the stages that can use more than one core.
 
-The visibility scan and the estimate dump run in children made with the
-``fork`` start method, which inherit the parent's arrays without pickling
-them. Each falls back to running inline where that cannot help: on one
-usable CPU, or where the platform has no ``fork``.
+The estimate dump runs in a child made with the ``fork`` start method,
+which inherits the parent's table without pickling it, while the parent
+runs the schedulers. It runs inline where that cannot help: on one usable
+CPU, or where the platform has no ``fork``. The visibility scan needs one
+core and forks nothing.
 """
 
 from __future__ import annotations

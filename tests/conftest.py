@@ -9,8 +9,10 @@ from index arrays, dict-based Phase-1 schedulers for the array ones (on
 the re-solve assignment solver the dual-certified one replaced), and a
 dict-based joint-capacity sum for the array helper, and the row-by-row
 ``csv.writer`` and slot-by-slot greedy that the columnar writer and the
-pre-indexed greedy replaced. They are slow and only meant for desk-scale
-cross checks.
+pre-indexed greedy replaced, the all-satellite visibility scan that the
+pruned two-pass scan replaced, and the hash-based tau, choice-histogram
+and slot-span formulas that linear passes replaced. They are slow and only
+meant for desk-scale cross checks.
 """
 
 import csv
@@ -23,7 +25,8 @@ from scipy import sparse
 
 from qkdsched.alloc import MilpInstance
 from qkdsched.channel import EstimateTable
-from qkdsched.orbit import EARTH_RADIUS_KM, EARTH_ROT_RAD_S, MU_KM3_S2
+from qkdsched.orbit import (EARTH_RADIUS_KM, EARTH_ROT_RAD_S, MU_KM3_S2,
+                            VisibilityTable, _dot_threshold, orbital_angular_rate)
 
 
 def brute_force_assignment(weights, feasible, maximize=True):
@@ -248,6 +251,85 @@ def reference_elevation_distance(sat_pos, station_pos):
     up = up / np.linalg.norm(up)
     elev = math.degrees(math.asin(float(np.dot(d, up)) / dist))
     return elev, dist
+
+
+def reference_usable_slot_counts(slot, sat, n_slots, n_sats):
+    """Per-satellite count of distinct slots, by two hash passes; the rows
+    may come in any order."""
+    out = np.zeros(n_sats, dtype=np.int64)
+    key = np.asarray(sat, dtype=np.int64) * n_slots + slot
+    sats, counts = np.unique(np.unique(key) // n_slots, return_counts=True)
+    out[sats] = counts
+    return out
+
+
+def reference_scan(scenario, chunk=2048):
+    """The visibility scan that evaluates every satellite-station dot
+    product of every slot, ``chunk`` slots at a time, in one process."""
+    time = scenario.time
+    alt = scenario.sat_spec.altitude_km
+    r = EARTH_RADIUS_KM + alt
+    omega = orbital_angular_rate(alt)
+    nu0 = np.radians([s.anomaly_deg for s in scenario.satellites])
+    raan = np.radians([s.raan_deg for s in scenario.satellites])
+    lat = np.radians([g.latitude_deg for g in scenario.stations])
+    lon0 = np.radians([g.longitude_deg for g in scenario.stations])
+    cutoff = _dot_threshold(alt, scenario.min_elevation_deg)
+    sin_thresh = math.sin(math.radians(scenario.min_elevation_deg))
+
+    parts = []
+    for start in range(0, time.slot_count, chunk):
+        stop = min(start + chunk, time.slot_count)
+        t = np.arange(start, stop, dtype=float) * time.slot_duration_s
+        nu = nu0[:, None] + omega * t[None, :]                    # (S, T)
+        cos_nu = np.cos(nu)
+        sat_pos = np.empty((len(t), len(nu), 3))                 # (T, S, 3)
+        np.multiply(cos_nu * np.cos(raan)[:, None], r, out=sat_pos[:, :, 0].T)
+        np.multiply(cos_nu * np.sin(raan)[:, None], r, out=sat_pos[:, :, 1].T)
+        np.multiply(np.sin(nu), r, out=sat_pos[:, :, 2].T)
+        lon = lon0[:, None] + EARTH_ROT_RAD_S * t[None, :]        # (G, T)
+        st_pos = np.stack([
+            np.cos(lat)[:, None] * np.cos(lon),
+            np.cos(lat)[:, None] * np.sin(lon),
+            np.broadcast_to(np.sin(lat)[:, None], lon.shape),
+        ], axis=2) * EARTH_RADIUS_KM                              # (G, T, 3)
+        dots = np.matmul(sat_pos, st_pos.transpose(1, 2, 0))      # (T, S, G)
+        ti, si, gi = np.nonzero(dots >= cutoff)
+        d = dots[ti, si, gi]
+        dist = np.sqrt(r * r + EARTH_RADIUS_KM**2 - 2.0 * d)
+        sin_el = (d - EARTH_RADIUS_KM**2) / (dist * EARTH_RADIUS_KM)
+        elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+        keep = sin_el >= sin_thresh - 1e-12
+        parts.append(((ti + start)[keep], si[keep], gi[keep], elev[keep], dist[keep]))
+
+    slot, sat, station, elev, dist = (np.concatenate(c) for c in zip(*parts))
+    slot, sat, station = (a.astype(np.int64, copy=False) for a in (slot, sat, station))
+    return VisibilityTable(
+        n_slots=time.slot_count, n_sats=scenario.n_sats,
+        n_stations=scenario.n_stations, slot=slot, sat=sat, station=station,
+        elevation_deg=elev, distance_km=dist,
+        tau=reference_usable_slot_counts(slot, sat, time.slot_count, scenario.n_sats),
+    )
+
+
+def reference_choice_histograms(table):
+    """Choice histograms through a dense (entity, slot) count array."""
+    out = {}
+    for view, entity, n_entities in (("satellite", table.sat, table.n_sats),
+                                     ("station", table.station, table.n_stations)):
+        cells = np.bincount(entity.astype(np.int64) * table.n_slots
+                            + table.slot.astype(np.int64),
+                            minlength=n_entities * table.n_slots)
+        hist = np.bincount(cells)
+        out[view] = {int(k): int(m) for k, m in enumerate(hist) if m > 0 or k == 0}
+    return out
+
+
+def reference_slot_spans(estimates):
+    """Row bounds of every occupied slot, found by hashing the slot column."""
+    t = np.unique(estimates.slot)
+    return (np.searchsorted(estimates.slot, t),
+            np.searchsorted(estimates.slot, t, side="right"))
 
 
 def bisect_root(fn, lo, hi, tol=1e-12):

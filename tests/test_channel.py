@@ -9,7 +9,9 @@ from qkdsched import channel
 from qkdsched.channel import EstimateTable
 from qkdsched.orbit import VisibilityTable
 
-from conftest import bisect_root, reference_write_estimates_csv
+from conftest import (bisect_root, make_table, random_table,
+                      reference_slot_spans, reference_usable_slot_counts,
+                      reference_write_estimates_csv)
 
 FLOAT_COLUMNS = ("transmissivity", "successes", "qber", "rate", "cloud", "key_bits")
 
@@ -280,6 +282,19 @@ def test_build_estimates_empty_visibility(toy_scenario):
         for name in ("transmissivity", "successes", "qber", "rate", "cloud", "key_bits"):
             assert getattr(table, name).shape == (0,), name
         assert table.tau().tolist() == vis.tau.tolist() == [0]
+
+
+def test_slot_spans_and_tau_match_hash_formulas(rng):
+    tables = [make_table(3, 2, 2, []), make_table(5, 1, 1, [(4, 0, 0, 1.0)])]
+    tables += [random_table(rng, n_slots=40, n_sats=5, n_stations=4, density=d)
+               for d in (0.02, 0.5, 1.0)]
+    for table in tables:
+        for got, want in zip(table.slot_spans(), reference_slot_spans(table)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        want = reference_usable_slot_counts(table.slot, table.sat, table.n_slots,
+                                            table.n_sats)
+        assert table.tau().dtype == want.dtype
+        assert table.tau().tolist() == want.tolist()
 
 
 def test_estimate_table_rejects_duplicate_triple():

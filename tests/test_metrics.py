@@ -15,7 +15,7 @@ from qkdsched.metrics import (
 )
 from qkdsched.sched import Schedule
 
-from conftest import make_table
+from conftest import make_table, random_table, reference_choice_histograms
 
 
 def _schedule(key_pool, n_sats=1, n_stations=3, metadata=None):
@@ -64,6 +64,14 @@ def test_choice_histograms_hand_count():
     assert sum(k * m for k, m in hist["satellite"].items()) == 3
     assert sum(m for m in hist["satellite"].values()) == 2 * 3
     assert sum(m for m in hist["station"].values()) == 3 * 3
+
+
+def test_choice_histograms_match_dense_formula(rng):
+    tables = [make_table(3, 2, 2, []), make_table(1, 1, 1, [(0, 0, 0, 1.0)])]
+    tables += [random_table(rng, n_slots=40, n_sats=5, n_stations=4, density=d)
+               for d in (0.05, 0.5, 1.0)]
+    for table in tables:
+        assert choice_histograms(table) == reference_choice_histograms(table)
 
 
 def test_report_json_deterministic(tmp_path):

@@ -1,17 +1,19 @@
 import dataclasses
 import math
-import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qkdsched import orbit, workers
+from qkdsched import orbit
 from conftest import (reference_elevation_distance, reference_propagate,
-                      reference_station_position)
-from qkdsched.scenario import (ChannelParams, GroundStation, SatelliteSpec,
-                               Scenario, TimeGrid, build_polar_constellation,
-                               load_scenario)
+                      reference_scan, reference_station_position,
+                      reference_usable_slot_counts)
+from qkdsched.scenario import (ChannelParams, GroundStation, Satellite,
+                               SatelliteSpec, Scenario, TimeGrid,
+                               build_polar_constellation, load_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -65,24 +67,22 @@ def test_elevation_horizon_sign():
     assert elev < 0
 
 
+def _station(station_id, lat, lon):
+    return GroundStation(
+        station_id=station_id, name=str(station_id), latitude_deg=lat, longitude_deg=lon,
+        zenith_transmissivity={s: 0.6 for s in ("mar", "jun", "sep", "dec")},
+        background_noise={b: 1e-7 for b in (0, 6, 12, 18)})
+
+
 def _small_scenario(n_rings=2, per_ring=2, slots=240, altitude=500.0,
-                    min_elev=20.0):
-    stations = (
-        GroundStation(station_id=1, name="a", latitude_deg=40.7, longitude_deg=-74.0,
-                      zenith_transmissivity={s: 0.6 for s in ("mar", "jun", "sep", "dec")},
-                      background_noise={b: 1e-7 for b in (0, 6, 12, 18)}),
-        GroundStation(station_id=2, name="b", latitude_deg=-33.9, longitude_deg=151.2,
-                      zenith_transmissivity={s: 0.6 for s in ("mar", "jun", "sep", "dec")},
-                      background_noise={b: 1e-7 for b in (0, 6, 12, 18)}),
-        GroundStation(station_id=3, name="c", latitude_deg=51.5, longitude_deg=-0.1,
-                      zenith_transmissivity={s: 0.6 for s in ("mar", "jun", "sep", "dec")},
-                      background_noise={b: 1e-7 for b in (0, 6, 12, 18)}),
-    )
+                    min_elev=20.0, slot_s=30.0):
+    stations = (_station(1, 40.7, -74.0), _station(2, -33.9, 151.2),
+                _station(3, 51.5, -0.1))
     return Scenario(
         satellites=build_polar_constellation(n_rings, per_ring, altitude),
         stations=stations,
         sat_spec=SatelliteSpec(altitude_km=altitude, source_rate_hz=1e9),
-        time=TimeGrid(slot_duration_s=30.0, slot_count=slots),
+        time=TimeGrid(slot_duration_s=slot_s, slot_count=slots),
         channel=ChannelParams(),
         min_elevation_deg=min_elev,
     )
@@ -134,37 +134,80 @@ def _same_bytes(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 50])
-def test_visibility_sorted_across_chunks(monkeypatch, chunk):
-    # the scan emits rows in table order chunk by chunk, with no final sort;
-    # two forked workers get several chunks each
-    scn = _small_scenario()
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
-    whole = orbit.build_visibility(scn)
-    assert scn.time.slot_count <= orbit._CHUNK
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(orbit, "_CHUNK", chunk)
-    assert scn.time.slot_count > 2 * 2 * max(1, chunk // 2)
-    table = orbit.build_visibility(scn)
-    order = np.lexsort((table.station, table.sat, table.slot))
-    assert np.array_equal(order, np.arange(len(table)))
-    _same_bytes(table, whole)
-    assert multiprocessing.active_children() == []
+@pytest.mark.parametrize("slot_s, slots", [(1.0, 7200), (30.0, 240), (300.0, 240)])
+def test_scan_matches_reference_on_small_scenario(slot_s, slots):
+    # 30-slot blocks, one-slot blocks of 30 s, and one-slot blocks longer
+    # than 30 s
+    scn = _small_scenario(slot_s=slot_s, slots=slots)
+    want = reference_scan(scn)
+    assert len(want) > 0
+    _same_bytes(orbit.build_visibility(scn), want)
 
 
-def test_pool_scan_matches_single_chunk_on_global_cut(monkeypatch):
-    # the 400-satellite constellation over three worker chunks against one
-    # inline chunk of the same slots
+@pytest.mark.parametrize("per_ring", [1, 2])
+def test_scan_matches_reference_on_tiny_constellations(per_ring):
+    # with two satellites, a block with one candidate takes the other one
+    # along to keep its dot products those of a gemm
+    scn = _small_scenario(n_rings=1, per_ring=per_ring, slot_s=1.0, slots=7200)
+    want = reference_scan(scn)
+    assert len(want) > 0
+    _same_bytes(orbit.build_visibility(scn), want)
+
+
+def test_scan_finds_a_block_seen_at_its_last_slot_only():
+    # the last satellite rises over the station at slot 179, the last of the
+    # 30-slot block [150, 180); the others stay on the far side of the Earth
+    scn = _small_scenario(slot_s=1.0, slots=1200)
+    far = tuple(Satellite(k, 0, k, 0.0, 160.0 + 10.0 * k) for k in range(5))
+    scn = dataclasses.replace(scn, stations=(_station(1, 0.0, 0.0),),
+                              satellites=far + (Satellite(5, 0, 5, 0.0, -20.67),))
+    want = reference_scan(scn)
+    block = want.slot[(want.slot >= 150) & (want.slot < 180)]
+    assert block.tolist() == [179] and set(want.sat.tolist()) == {5}
+    _same_bytes(orbit.build_visibility(scn), want)
+
+
+def test_scan_matches_reference_on_global_cut():
     scn = load_scenario(SCENARIOS / "global_a500.ini")
     scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    assert scn.time.slot_count > orbit._CHUNK // 2 * 2
-    pooled = orbit.build_visibility(scn)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(orbit, "_CHUNK", scn.time.slot_count)
-    single = orbit.build_visibility(scn)
-    assert len(single) > 0
-    _same_bytes(pooled, single)
+    want = reference_scan(scn)
+    assert len(want) > 0
+    _same_bytes(orbit.build_visibility(scn), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings=st.integers(1, 4), per_ring=st.integers(1, 5),
+       altitude=st.floats(300.0, 2000.0), min_elev=st.floats(0.01, 60.0),
+       stations=st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+                         min_size=1, max_size=4),
+       slot_s=st.floats(0.5, 400.0), slots=st.integers(1, 600))
+def test_scan_matches_reference_property(rings, per_ring, altitude, min_elev,
+                                         stations, slot_s, slots):
+    scn = _small_scenario(n_rings=rings, per_ring=per_ring, slots=slots,
+                          altitude=altitude, min_elev=min_elev, slot_s=slot_s)
+    scn = dataclasses.replace(scn, stations=tuple(
+        _station(i + 1, lat, lon) for i, (lat, lon) in enumerate(stations)))
+    _same_bytes(orbit.build_visibility(scn), reference_scan(scn))
+
+
+def test_scan_starts_no_process(monkeypatch):
+    def refuse():
+        raise AssertionError("the visibility scan forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    scn = _small_scenario(slot_s=1.0, slots=5000)
+    assert len(orbit.build_visibility(scn)) > 0
+
+
+def test_usable_slot_counts_match_hash_formula(rng):
+    for n_slots, n_sats, n_rows in ((1, 1, 0), (7, 3, 5), (50, 9, 400)):
+        slot = np.sort(rng.integers(0, n_slots, n_rows))
+        sat = rng.integers(0, n_sats, n_rows)
+        order = np.lexsort((sat, slot))
+        slot, sat = slot[order], sat[order]
+        got = orbit.usable_slot_counts(slot, sat, n_sats)
+        want = reference_usable_slot_counts(slot, sat, n_slots, n_sats)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_threshold_inclusive_edge():
