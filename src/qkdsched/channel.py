@@ -9,6 +9,7 @@ consumes, so filtering or editing it changes all of them consistently.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -104,6 +105,11 @@ def qber_estimate(signal_prob, noise_prob, intrinsic_error_rate: float):
     return e if e.ndim else float(e)
 
 
+# the per-row columns of an EstimateTable
+_COLUMNS = ("slot", "sat", "station", "transmissivity", "successes", "qber", "rate",
+            "cloud", "key_bits")
+
+
 @dataclass
 class EstimateTable:
     """Per-triple channel estimates, sorted by (slot, satellite, station).
@@ -112,6 +118,11 @@ class EstimateTable:
     satellite tuple) and must lie in range. ``key_bits`` already folds in cloud cover:
     (1 - cloud) * successes * rate. ``transmitters`` / ``receivers`` carry
     the per-slot link capacities the schedulers must respect.
+
+    Rows given in table order are kept as given: the table takes ownership
+    of a contiguous column instead of copying it, so the caller must not
+    write into it afterwards. Rows in any other order are sorted into
+    copies.
     """
 
     n_slots: int
@@ -153,18 +164,24 @@ class EstimateTable:
                 raise ValueError(f"{what} index out of range [0, {n})")
         key = ((np.asarray(self.slot, dtype=np.int64) * self.n_sats + self.sat)
                * self.n_stations + self.station)
-        order = np.argsort(key, kind="stable")
-        for name in ("slot", "sat", "station", "transmissivity", "successes",
-                     "qber", "rate", "cloud", "key_bits"):
-            setattr(self, name, getattr(self, name)[order])
-        key = key[order]
-        repeat = np.flatnonzero(key[1:] == key[:-1])
-        if len(repeat):
-            i = repeat[0]
-            raise ValueError(
-                "duplicate estimate for (slot, satellite, station) "
-                f"({self.slot[i]}, {self.sat_ids[self.sat[i]]}, "
-                f"{self.station_ids[self.station[i]]})")
+        if np.all(key[1:] > key[:-1]):
+            # already in table order without repeats, as the scan, take and
+            # the reader deliver them: keep the columns, a contiguous one
+            # without a copy
+            for name in _COLUMNS:
+                setattr(self, name, np.ascontiguousarray(getattr(self, name)))
+        else:
+            order = np.argsort(key, kind="stable")
+            for name in _COLUMNS:
+                setattr(self, name, getattr(self, name)[order])
+            key = key[order]
+            repeat = np.flatnonzero(key[1:] == key[:-1])
+            if len(repeat):
+                i = repeat[0]
+                raise ValueError(
+                    "duplicate estimate for (slot, satellite, station) "
+                    f"({self.slot[i]}, {self.sat_ids[self.sat[i]]}, "
+                    f"{self.station_ids[self.station[i]]})")
         self._bounds = np.searchsorted(self.slot, np.arange(self.n_slots + 1))
 
     def __len__(self):
@@ -200,6 +217,11 @@ class EstimateTable:
         )
 
 
+# rows estimated or parsed per step of build_estimates and read_estimates_csv;
+# bounds their temporaries
+_CHUNK_ROWS = 16384
+
+
 def noise_bucket(slot: np.ndarray, slot_duration_s: float) -> np.ndarray:
     """Bucket start hour (0/6/12/18) for each slot, wrapping daily."""
     hour = (np.asarray(slot, dtype=np.int64) * slot_duration_s // 3600).astype(np.int64) % 24
@@ -211,48 +233,50 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
     """Estimate every visible triple of the scenario.
 
     ``cloud_matrix`` is an optional (n_stations, n_slots) array of cloud
-    cover in [0, 1]; omitted means clear sky.
+    cover in [0, 1]; omitted means clear sky. The table shares the
+    visibility table's index arrays. Rows are estimated
+    ``_CHUNK_ROWS`` at a time into the finished columns, so the
+    temporaries stay a chunk long.
     """
     spec, ch, time = scenario.sat_spec, scenario.channel, scenario.time
     season = time.season()
-
-    elev = visibility.elevation_deg
-    dist = visibility.distance_km
-    g = visibility.station
-    s = visibility.sat
-    t = visibility.slot
-
-    zenith = np.array([st.zenith_transmissivity[season] for st in scenario.stations])
-    eta_atm = atmospheric_transmissivity(zenith[g], elev)
-    eta_fs = free_space_transmissivity(dist, ch.receiver_aperture_m,
-                                       ch.transmit_divergence_urad)
-    eta = eta_fs * eta_atm * spec.optics_transmissivity
-
-    lam = expected_successes(eta, time.slot_duration_s, spec.source_rate_hz,
-                             ch.detector_efficiency, ch.sifting_factor)
-
-    bg = np.array([[st.background_noise[b] for b in NOISE_BUCKETS]
-                   for st in scenario.stations])
-    bucket_idx = noise_bucket(t, time.slot_duration_s) // 6
-    p_noise = bg[g, bucket_idx] + spec.dark_count_prob
-    p_signal = eta * ch.detector_efficiency * ch.sifting_factor
-    e = qber_estimate(p_signal, p_noise, ch.intrinsic_error_rate)
-    r = key_rate(e)
-
     if cloud_matrix is not None:
         cloud_matrix = np.asarray(cloud_matrix, dtype=float)
         if cloud_matrix.shape != (scenario.n_stations, time.slot_count):
             raise ValueError("cloud_matrix must be (n_stations, n_slots)")
-        c = cloud_matrix[g, t]
-    else:
-        c = np.zeros(len(t))
 
-    bits = (1.0 - c) * lam * r
+    zenith = np.array([st.zenith_transmissivity[season] for st in scenario.stations])
+    bg = np.array([[st.background_noise[b] for b in NOISE_BUCKETS]
+                   for st in scenario.stations])
+    n = len(visibility)
+    eta, lam, e, r, c, bits = (np.empty(n) for _ in range(6))
+    for a in range(0, n, _CHUNK_ROWS):
+        part = slice(a, a + _CHUNK_ROWS)
+        g, t = visibility.station[part], visibility.slot[part]
+
+        eta_atm = atmospheric_transmissivity(zenith[g], visibility.elevation_deg[part])
+        eta_fs = free_space_transmissivity(visibility.distance_km[part],
+                                           ch.receiver_aperture_m,
+                                           ch.transmit_divergence_urad)
+        eta[part] = eta_fs * eta_atm * spec.optics_transmissivity
+
+        lam[part] = expected_successes(eta[part], time.slot_duration_s,
+                                       spec.source_rate_hz, ch.detector_efficiency,
+                                       ch.sifting_factor)
+
+        bucket_idx = noise_bucket(t, time.slot_duration_s) // 6
+        p_noise = bg[g, bucket_idx] + spec.dark_count_prob
+        p_signal = eta[part] * ch.detector_efficiency * ch.sifting_factor
+        e[part] = qber_estimate(p_signal, p_noise, ch.intrinsic_error_rate)
+        r[part] = key_rate(e[part])
+
+        c[part] = 0.0 if cloud_matrix is None else cloud_matrix[g, t]
+        bits[part] = (1.0 - c[part]) * lam[part] * r[part]
 
     return EstimateTable(
         n_slots=time.slot_count, n_sats=scenario.n_sats,
         n_stations=scenario.n_stations,
-        slot=t.copy(), sat=s.copy(), station=g.copy(),
+        slot=visibility.slot, sat=visibility.sat, station=visibility.station,
         transmissivity=eta, successes=lam, qber=e, rate=r, cloud=c, key_bits=bits,
         transmitters=np.full(scenario.n_sats, spec.transmitters, dtype=np.int64),
         receivers=np.array([st.receivers for st in scenario.stations], dtype=np.int64),
@@ -327,32 +351,56 @@ def read_estimates_csv(path) -> EstimateTable:
             line = fh.readline()
         if line.rstrip("\n").split(",") != _CSV_HEADER:
             raise ValueError(f"{path}: expected columns {_CSV_HEADER}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not warned about
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_DTYPE, comments=None,
-                                  ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not len(rows):
+        columns = _read_columns(fh, path, 2 if meta else 1)
+    slot = columns["slot"]
+    if not len(slot):
         raise ValueError(f"{path}: empty estimate table")
-    slot = rows["slot"]
     n_slots = meta.get("n_slots", int(slot.max()) + 1)
     if slot.min() < 0 or slot.max() >= n_slots:
         raise ValueError(f"{path}: slots must lie in [0, {n_slots})")
-    sat_ids, sat = _dense_ids(rows["satellite_id"], meta.get("sat_ids"), "satellite", path)
-    station_ids, station = _dense_ids(rows["station_id"], meta.get("station_ids"),
+    sat_ids, sat = _dense_ids(columns.pop("satellite_id"), meta.get("sat_ids"),
+                              "satellite", path)
+    station_ids, station = _dense_ids(columns.pop("station_id"), meta.get("station_ids"),
                                       "station", path)
     return EstimateTable(
         n_slots=n_slots, n_sats=len(sat_ids), n_stations=len(station_ids),
         slot=slot, sat=sat, station=station,
-        transmissivity=rows["transmissivity"], successes=rows["successes"],
-        qber=rows["qber"], rate=rows["key_rate"], cloud=rows["cloud"],
-        key_bits=rows["key_bits"],
+        transmissivity=columns["transmissivity"], successes=columns["successes"],
+        qber=columns["qber"], rate=columns["key_rate"], cloud=columns["cloud"],
+        key_bits=columns["key_bits"],
         transmitters=meta.get("transmitters"), receivers=meta.get("receivers"),
         sat_ids=sat_ids, station_ids=station_ids,
     )
+
+
+def _read_columns(fh, path, lines_read: int) -> dict:
+    """Each CSV column of the rows left in ``fh``, as one contiguous array.
+
+    The rows are parsed ``_CHUNK_ROWS`` lines at a time, so that only one
+    chunk is ever held as records besides the columns. ``lines_read``
+    counts the lines before them, for the line numbers of a parse error.
+    """
+    pieces = {name: [] for name in _CSV_HEADER}
+    with warnings.catch_warnings():
+        # blank lines parse to no rows; the caller reports an empty table
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+            try:
+                rows = np.loadtxt(lines, delimiter=",", dtype=_CSV_DTYPE, comments=None,
+                                  ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: lines {lines_read + 1}-{lines_read + len(lines)}: "
+                                 f"{exc}") from None
+            lines_read += len(lines)
+            for name, column in pieces.items():
+                column.append(rows[name].copy())
+    # one column at a time, each one's pieces freed before the next is joined
+    columns = {}
+    for name in _CSV_HEADER:
+        column = pieces.pop(name)
+        columns[name] = (np.concatenate(column) if column
+                         else np.zeros(0, dtype=_CSV_DTYPE[name]))
+    return columns
 
 
 def _reject_float(text: str):

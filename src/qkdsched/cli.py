@@ -171,16 +171,7 @@ def _cmd_run(args) -> int:
         raise CliError("cli", f"output directory '{out}' exists (use --force)")
 
     if args.scenario:
-        _verbose(f"loading scenario {args.scenario}")
-        scenario = load_scenario(args.scenario)
-        _verbose(f"scanning visibility for {scenario.n_sats} satellites x "
-                 f"{scenario.time.slot_count} slots")
-        visibility = build_visibility(scenario)
-        clouds = None
-        if args.clouds:
-            series = load_clouds(args.clouds, date=scenario.time.epoch)
-            clouds = cloud_matrix(series, scenario)
-        table = build_estimates(scenario, visibility, clouds)
+        table = _scenario_table(args.scenario, args.clouds)
     else:
         _verbose(f"reading estimate table {args.table}")
         table = read_estimates_csv(args.table)
@@ -242,6 +233,22 @@ def _cmd_run(args) -> int:
     staging.rename(out)
     print(f"wrote {len(names)} scheduler run(s) to {out}")
     return 0
+
+
+def _scenario_table(scenario_path, clouds_path) -> EstimateTable:
+    """Scan and estimate a scenario. The visibility table and the cloud
+    matrix die with this call, so they are gone before the filter and the
+    schedulers run."""
+    _verbose(f"loading scenario {scenario_path}")
+    scenario = load_scenario(scenario_path)
+    _verbose(f"scanning visibility for {scenario.n_sats} satellites x "
+             f"{scenario.time.slot_count} slots")
+    visibility = build_visibility(scenario)
+    clouds = None
+    if clouds_path:
+        series = load_clouds(clouds_path, date=scenario.time.epoch)
+        clouds = cloud_matrix(series, scenario)
+    return build_estimates(scenario, visibility, clouds)
 
 
 class _Dump:

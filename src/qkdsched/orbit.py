@@ -154,7 +154,7 @@ def _dots(geo: _Geometry, sats: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.matmul(sat_pos, st_pos.transpose(1, 2, 0))
 
 
-def _scan_slots(geo: _Geometry, sats: np.ndarray, start: int, stop: int) -> tuple:
+def _scan_slots(geo: _Geometry, sats: np.ndarray, start: int, stop: int) -> list:
     """The above-threshold triples of slots [start, stop) among the
     satellites of the (T, C) index array ``sats``, whose rows list each
     slot's satellites in order, in table order: slot, satellite, station,
@@ -173,7 +173,7 @@ def _scan_slots(geo: _Geometry, sats: np.ndarray, start: int, stop: int) -> tupl
     elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
     # the squared cutoff can admit values a hair under threshold
     keep = sin_el >= geo.sin_thresh - 1e-12
-    return ((ti + start)[keep], sats[ti, ci][keep], gi[keep], elev[keep], dist[keep])
+    return [(ti + start)[keep], sats[ti, ci][keep], gi[keep], elev[keep], dist[keep]]
 
 
 def build_visibility(scenario: Scenario) -> VisibilityTable:
@@ -214,7 +214,8 @@ def build_visibility(scenario: Scenario) -> VisibilityTable:
     margin = drift * (stops - 1 - starts) * (0.5 * geo.slot_s) + slack
 
     every_sat = np.arange(n_sats)[None, :]
-    parts = []
+    # the groups' slot, sat, station, elevation and distance pieces
+    pieces = ([], [], [], [], [])
     for lo in range(0, len(starts), _GROUP_BLOCKS):
         part = slice(lo, lo + _GROUP_BLOCKS)
         peak = _dots(geo, every_sat, centre[part]).max(axis=2)
@@ -228,15 +229,17 @@ def build_visibility(scenario: Scenario) -> VisibilityTable:
             # that are none and so have no hit within the block
             sats = np.argsort(~reach, axis=1, kind="stable")[:, :width]
             sats = np.repeat(sats, stops[part] - starts[part], axis=0)
-            parts.append(_scan_slots(geo, sats, int(starts[lo]), int(stops[part][-1])))
+            hits = _scan_slots(geo, sats, int(starts[lo]), int(stops[part][-1]))
+            for column in pieces:
+                column.append(hits.pop(0))
 
-    if parts:
-        slot, sat, station, elev, dist = (np.concatenate(c) for c in zip(*parts))
-        slot, sat, station = (a.astype(np.int64, copy=False)
-                              for a in (slot, sat, station))
-    else:
-        slot = sat = station = np.zeros(0, dtype=np.int64)
-        elev = dist = np.zeros(0)
+    # one column at a time, each one's pieces freed before the next is joined
+    columns = []
+    for column, dtype in zip(pieces, (np.int64,) * 3 + (np.float64,) * 2):
+        columns.append(np.concatenate(column).astype(dtype, copy=False)
+                       if column else np.zeros(0, dtype=dtype))
+        column.clear()
+    slot, sat, station, elev, dist = columns
 
     return VisibilityTable(
         n_slots=n_slots, n_sats=n_sats, n_stations=n_g,

@@ -95,9 +95,13 @@ def apply_filter(estimates: EstimateTable, threshold: float = 0.8) -> EstimateTa
     """Drop rows whose cloud cover strictly exceeds ``threshold``.
 
     Equality stays in: a link at exactly the threshold is still offered to
-    the schedulers. Returns a new table; the input is untouched.
+    the schedulers. Returns a new table of the kept rows, or the input
+    itself when every row passes (as in an already filtered dump); the
+    input is never changed.
     """
     if not 0.0 <= threshold <= 1.0:
         raise WeatherError("filter threshold out of [0, 1]")
     keep = estimates.cloud <= threshold
+    if keep.all():
+        return estimates
     return estimates.take(keep)

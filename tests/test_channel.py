@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,13 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import channel
 from qkdsched.channel import EstimateTable
-from qkdsched.orbit import VisibilityTable
+from qkdsched.orbit import VisibilityTable, build_visibility
+from qkdsched.scenario import load_scenario
 
 from conftest import (bisect_root, make_table, random_table,
                       reference_slot_spans, reference_usable_slot_counts,
                       reference_write_estimates_csv)
 
 FLOAT_COLUMNS = ("transmissivity", "successes", "qber", "rate", "cloud", "key_bits")
+COLUMNS = ("slot", "sat", "station") + FLOAT_COLUMNS
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # hand-computed: -0.05*log2(0.05) - 0.95*log2(0.95)
@@ -147,6 +153,16 @@ def test_build_estimates_composition(toy_scenario):
     assert table.key_bits[0] == pytest.approx(lam * channel.key_rate(e), rel=1e-12)
 
 
+def test_build_estimates_is_the_same_in_chunks():
+    scn = load_scenario(SCENARIOS / "toy_equator.ini")
+    vis = build_visibility(scn)
+    clouds = np.random.default_rng(2).random((scn.n_stations, scn.time.slot_count))
+    want = channel.build_estimates(scn, vis, clouds)
+    assert len(want) > 7 * 50
+    with mock.patch.object(channel, "_CHUNK_ROWS", 7):
+        _assert_bitwise_equal(channel.build_estimates(scn, vis, clouds), want)
+
+
 def test_build_estimates_cloud_scaling(toy_scenario):
     vis = _one_row_visibility(60.0, 700.0)
     clear = channel.build_estimates(toy_scenario, vis)
@@ -233,14 +249,30 @@ def test_writer_chunk_boundary_at_full_size(tmp_path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
-def test_round_trip_restores_metadata_bitwise(tmp_path_factory, seed, n_rows):
-    """With its metadata line a dump reads back as the same table: ids in
-    their positional order, capacities, empty satellites and slots."""
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 7))
+def test_round_trip_restores_metadata_bitwise(tmp_path_factory, seed, n_rows, chunk):
+    """With its metadata line a dump reads back as the same table, in
+    contiguous columns, across chunk boundaries: ids in their positional
+    order, capacities, empty satellites and slots."""
     table = _random_estimates(np.random.default_rng(seed), n_rows)
     path = tmp_path_factory.mktemp("rt") / "est.csv"
     channel.write_estimates_csv(table, path)
-    _assert_bitwise_equal(channel.read_estimates_csv(path), table)
+    with mock.patch.object(channel, "_CHUNK_ROWS", chunk):
+        back = channel.read_estimates_csv(path)
+    _assert_bitwise_equal(back, table)
+    for name in COLUMNS:
+        assert getattr(back, name).flags.c_contiguous, name
+
+
+def test_parse_error_names_the_lines_of_its_chunk(tmp_path):
+    path = tmp_path / "est.csv"
+    # with two rows a chunk, the header is line 1 and the chunks are lines
+    # 2-3, 4-5 and 6-7
+    path.write_text(",".join(channel._CSV_HEADER) + "\n"
+                    + "".join(f"{t},1,1,0.0,3.0,0.0,1.0,0.0,3.0\n" for t in (0, 1, 2, 3, 4, 5.5)))
+    with mock.patch.object(channel, "_CHUNK_ROWS", 2), \
+            pytest.raises(ValueError, match=r"est\.csv: lines 6-7: .*'5\.5'"):
+        channel.read_estimates_csv(path)
 
 
 def test_bare_table_reads_with_sorted_dense_ids(tmp_path):
@@ -299,7 +331,9 @@ def test_slot_spans_and_tau_match_hash_formulas(rng):
 
 def test_estimate_table_rejects_duplicate_triple():
     from conftest import make_table
-    with pytest.raises(ValueError, match=r"\(0, 1, 1\)"):
+    # make_table hands its rows over in table order, so the repeat is adjacent
+    with pytest.raises(ValueError, match=r"duplicate estimate for \(slot, satellite, "
+                                         r"station\) \(0, 1, 1\)"):
         make_table(2, 2, 2, [(1, 0, 0, 2.0), (0, 1, 1, 5.0), (0, 1, 1, 1.0)])
     # the same link in another slot is no repeat
     assert len(make_table(2, 2, 2, [(0, 1, 1, 5.0), (1, 1, 1, 1.0)])) == 2
@@ -344,3 +378,57 @@ def test_estimate_table_rejects_out_of_range_index(sat, station, message):
     # out-of-range indices would make the single sort key alias other rows
     with pytest.raises(ValueError, match=message):
         _index_table([0, 1], sat, station)
+
+
+def test_in_order_columns_are_taken_without_a_sort():
+    rows = np.arange(4, dtype=float)
+    columns = {"slot": np.array([0, 0, 1, 3]), "sat": np.array([0, 2, 1, 0]),
+               "station": np.array([1, 0, 2, 2]),
+               **{name: rows + 10.0 * k for k, name in enumerate(FLOAT_COLUMNS)}}
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        table = EstimateTable(n_slots=4, n_sats=3, n_stations=3, **columns)
+        spy.assert_not_called()
+        for name, column in columns.items():
+            assert getattr(table, name) is column, name
+        # the spy sees the sort of rows out of order
+        EstimateTable(n_slots=4, n_sats=3, n_stations=3,
+                      **{name: column[::-1] for name, column in columns.items()})
+        spy.assert_called_once()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_row_order_builds_the_sorted_columns(data):
+    keys = sorted(data.draw(st.lists(st.integers(0, 5 * 3 * 4 - 1), unique=True,
+                                     max_size=40)))
+    order = np.array(data.draw(st.permutations(range(len(keys)))), dtype=np.int64)
+    values = st.floats(allow_nan=True, allow_infinity=True)
+    keys = np.array(keys, dtype=np.int64)
+    columns = {"slot": keys // 12, "sat": keys // 4 % 3, "station": keys % 4}
+    for name in FLOAT_COLUMNS:
+        columns[name] = np.array(data.draw(st.lists(values, min_size=len(keys),
+                                                    max_size=len(keys))), dtype=float)
+    want = EstimateTable(n_slots=5, n_sats=3, n_stations=4, **columns)
+    got = EstimateTable(n_slots=5, n_sats=3, n_stations=4,
+                        **{name: column[order] for name, column in columns.items()})
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_build_estimates_peak_memory_on_global_cut():
+    # tracemalloc sees numpy's buffers: the build's peak above its inputs
+    # stays within 1.6 times the finished table's columns
+    scn = load_scenario(SCENARIOS / "global_a500.ini")
+    scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
+    vis = build_visibility(scn)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = channel.build_estimates(scn, vis)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(getattr(table, name).nbytes for name in COLUMNS)
+    assert len(table) == len(vis) > 50000
+    assert peak <= 1.6 * column_bytes, peak / column_bytes

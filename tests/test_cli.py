@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -443,6 +445,36 @@ def test_run_scenario_with_cloud_filter(tmp_path):
     assert "2-3" in report["excluded_pairs"]
     assert report["pair_keys"]["1-2"] > 0
     assert report["min_key"] == report["pair_keys"]["1-2"]
+
+
+def test_scan_and_clouds_are_released_before_the_schedulers(tmp_path, monkeypatch):
+    # the visibility table and the cloud matrix are unreachable once the
+    # estimate table exists, so the schedulers run without them
+    import qkdsched.cli as cli
+
+    scene, clouds = _clouded_scenario(tmp_path)
+    refs, alive = [], []
+    run_greedy = cli.run_greedy
+
+    def keep_ref(build):
+        def wrapped(*args, **kwargs):
+            result = build(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+        return wrapped
+
+    def first_scheduler(*args, **kwargs):
+        gc.collect()
+        alive.extend(type(ref()).__name__ for ref in refs if ref() is not None)
+        return run_greedy(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_visibility", keep_ref(cli.build_visibility))
+    monkeypatch.setattr(cli, "cloud_matrix", keep_ref(cli.cloud_matrix))
+    monkeypatch.setattr(cli, "run_greedy", first_scheduler)
+    rc = main(["run", "--scenario", str(scene), "--clouds", str(clouds),
+               "--schedulers", "greedy", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(refs) == 2 and alive == []
 
 
 def test_run_export_only_writes_model(tmp_path):

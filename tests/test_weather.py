@@ -80,3 +80,10 @@ def test_apply_filter_strictness():
     assert len(table) == 3
     with pytest.raises(weather.WeatherError):
         weather.apply_filter(table, threshold=1.2)
+
+
+def test_apply_filter_returns_the_input_when_every_row_passes():
+    table = make_table(4, 1, 2, [(0, 0, 0, 5.0), (1, 0, 1, 3.0), (2, 0, 0, 2.0)])
+    table.cloud = np.array([0.8, 0.0, 0.2])
+    assert weather.apply_filter(table, threshold=0.8) is table
+    assert len(weather.apply_filter(table, threshold=0.7)) == 2
