@@ -6,34 +6,29 @@ one is lexicographically smallest in column index, row by row. Forbidden
 pairs are carried as an explicit boolean mask, never as large sentinel
 costs, so the weights stay numerically clean.
 
-The refinement needs one solve. Shortest alternating paths in the residual
-graph of the optimal map price every move a row could make; when no row
-can take a smaller column within the tie tolerance, which is the usual
-case for float weights, the solver's map is returned as it is. Otherwise
-column potentials from the same paths give every feasible edge a
-nonnegative reduced cost, zero on the map, and the excess of any
-assignment over the optimum is a sum of such reduced costs (complementary
-slackness for the assignment LP; Burkard, Dell'Amico & Martello,
-*Assignment Problems*, SIAM 2009, ch. 4). Rows are then fixed in order:
-each takes the smallest column whose cheapest completion stays within the
-tolerance, and each candidate is priced by one shortest alternating path
-over the reduced costs instead of a re-solve.
+One pricing routine serves the whole rule. Given an optimal map, the
+cheapest completion of "row k takes column j while the rows before k keep
+their columns" exceeds the optimum by the move plus a shortest
+alternating path in the residual graph of the map (Burkard, Dell'Amico &
+Martello, *Assignment Problems*, SIAM 2009, ch. 4). One Floyd-Warshall
+(Floyd, CACM 5(6), 1962) that adds the rows last to first prices every
+(k, j) at once (:func:`_completions`). When no row can take a smaller
+column within the tie tolerance, which is the usual case for float
+weights, the solver's map is the answer. Otherwise the walk moves the
+first row that can, re-solves the rows after it once and prices them
+again, until no row can move.
 
-That check is one certificate with two callers. :func:`solve_assignment`
-runs it on its own map, a batch of one. A caller that solves many
-matrices can instead take each raw map from :func:`optimal_map`, the only
-place that calls the LSAP solver, and certify a stack of maps of one
-shape at once with :func:`certify`: one Floyd-Warshall over a
-(n + 1, n + 1, K) array, so the numpy calls scale with the rows, not with
-K. A map that passes is what :func:`solve_assignment` returns for its
-matrix; one that fails must be solved again by :func:`solve_assignment`,
-whose walk is exact.
+A caller that solves many matrices takes each raw map from
+:func:`optimal_map`, the only place that calls the LSAP solver, and
+checks a stack of maps of one shape at once with :func:`certify`: the
+same Floyd-Warshall over a (n + 1, n + 1, K) array, so the numpy calls
+scale with the rows, not with K. A map passes exactly when
+:func:`solve_assignment` returns it unchanged for its matrix.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +91,10 @@ def solve_assignment(matrix: WeightMatrix, maximize: bool = True) -> np.ndarray:
     match = optimal_map(cost)
     if n_rows == 1:
         return match
-    settled, tol, dist = _check(cost[None], match[None])
+    settled, tol, excess = _check(cost[None], match[None])
     if settled[0]:
         return match
-    return _lex_walk(cost, match, float(tol[0]), dist[:, :, 0])
+    return _lex_walk(cost, match, float(tol[0]), excess[0])
 
 
 def optimal_map(cost: np.ndarray) -> np.ndarray:
@@ -126,32 +121,28 @@ def certify(cost: np.ndarray, match: np.ndarray) -> np.ndarray:
     ``cost`` is a (K, n, m) stack of matrices of one shape, with n >= 2,
     and ``match`` holds an optimal map of each, as :func:`optimal_map`
     gives it. A map passes when no row can take a smaller column within
-    its matrix's tolerance; :func:`solve_assignment` makes the same check
-    with K = 1 before it walks.
+    its matrix's tolerance while the rows before it keep theirs;
+    :func:`solve_assignment` makes the same check with K = 1 and walks
+    exactly when it fails.
     """
     return _check(cost, match)[0]
 
 
 def _check(cost: np.ndarray, match: np.ndarray) -> tuple:
-    """Verdicts, tolerances and row distances of K optimal maps.
+    """Verdicts, tolerances and completion excesses of K optimal maps.
 
     Each tolerance is ``_REL_TOL`` relative to its map's total, and at
-    least ``_REL_TOL``. With no row fixed, row i taking column j costs
-    move[i, j] plus the path from j back to i's column; if no smaller
-    column gets within the tolerance that way, fixing rows cannot make
-    one, and no row moves.
+    least ``_REL_TOL``. A map fails when some row has a smaller column
+    whose cheapest completion, the rows before it fixed, stays within the
+    tolerance: the first such row is the one the walk moves.
     """
     K, n, m = cost.shape
-    kk, rows, kk3, rows2, cols = _grid(K, n, m)
-    matched = cost[kk, rows, match]
-    tol = _REL_TOL * np.maximum(1.0, np.abs(matched.sum(axis=1)))
-    move = cost - matched[:, :, None]
-    dist = _row_distances(move, match)
-    node = np.full((K, m), n)
-    node[kk, match] = rows
-    excess = move + dist[node[:, None, :], rows2, kk3]
+    kk, rows, _, _, cols = _grid(K, n, m)
+    total = cost[kk, rows, match].sum(axis=1)
+    tol = _REL_TOL * np.maximum(1.0, np.abs(total))
+    excess = _completions(cost, match)
     movable = (excess <= tol[:, None, None]) & (cols < match[:, :, None])
-    return ~movable.any(axis=(1, 2)), tol, dist
+    return ~movable.any(axis=(1, 2)), tol, excess
 
 
 @functools.lru_cache(maxsize=256)
@@ -167,134 +158,76 @@ def _grid(K: int, n: int, m: int) -> tuple:
     return kk, rows, kk[:, :, None], rows[:, None], cols
 
 
-def _row_distances(move: np.ndarray, match: np.ndarray) -> np.ndarray:
-    """Shortest alternating paths between the columns of K optimal maps,
-    given each row's cost ``move`` (K, n, m) of moving to each column, as
-    an (n + 1, n + 1, K) array.
+def _completions(cost: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """What row k taking column j adds to the optimum of each of K optimal
+    maps while the rows before k keep their columns, as a (K, n, m) array;
+    ``inf`` where j is forbidden to k or taken by a row before k.
 
     Node k < n stands for row k's column, node n for all unused columns at
     once. Leaving node k for row k2's column costs what row k pays to move
     there; leaving it for node n costs row k's cheapest move into an unused
-    column; leaving node n for any row's column costs nothing. An optimal
-    map leaves no negative cycle, so Floyd-Warshall over the n + 1 nodes
-    settles the lengths, in memory quadratic in the rows. The batch axis
-    comes last so that each step of it reads like the one-matrix form.
+    column; leaving node n for any row's column costs nothing. Row k taking
+    column j costs its move plus the shortest path from j's node back to
+    node k. An optimal map leaves no negative cycle, so Floyd-Warshall
+    settles the lengths. It adds the hub, then rows n - 1 down to 0, and
+    once row k is in, the lengths among the hub and rows >= k are those of
+    the problem without the rows before k, whose columns are then fixed:
+    row k's column of ``dist`` at that step prices row k. The batch axis
+    comes last so that each step reads like the one-matrix form.
     """
-    K, n, m = move.shape
-    kk, _, kk3, rows2, _ = _grid(K, n, m)
+    K, n, m = cost.shape
+    kk, rows, kk3, rows2, _ = _grid(K, n, m)
+    move = cost - cost[kk, rows, match][:, :, None]
     dist = np.zeros((n + 1, n + 1, K))
     dist[:n, :n] = move[kk3, rows2, match[:, None, :]].transpose(1, 2, 0)
     into_unused = move.copy()
     into_unused[kk, :, match] = np.inf
     dist[:n, n] = into_unused.min(axis=2).T
-    for k in range(n + 1):
-        dist = np.minimum(dist, dist[:, k, None] + dist[k])
-    return dist
-
-
-def _potentials(match: np.ndarray, dist: np.ndarray, n_cols: int) -> np.ndarray:
-    """Column potentials v <= 0 of an optimal map, zero on unused columns:
-    the shortest path into each column from anywhere. With the row
-    potentials ``cost[k, match[k]] - v[match[k]]`` they form a dual
-    solution that is tight on the map (complementary slackness)."""
-    v = np.zeros(n_cols)
-    v[match] = dist[:, :len(match)].min(axis=0)
-    return v
-
-
-def _reduced(cost: np.ndarray, match: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u = cost[np.arange(len(match)), match] - v[match]
-    return np.maximum(cost - u[:, None] - v, 0.0)
+    back = np.empty((n, n + 1, K))
+    for k in range(n, -1, -1):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        if k < n:
+            back[k] = dist[:, k]
+            back[k, :k] = np.inf
+    node = np.full((K, 1, m), n)
+    node[kk, 0, match] = rows
+    return move + back[rows2, node, kk3]
 
 
 def _lex_walk(cost: np.ndarray, match: np.ndarray, tol: float,
-              dist: np.ndarray) -> np.ndarray:
+              excess: np.ndarray) -> np.ndarray:
     """Lexicographically smallest map within ``tol`` of the optimal
-    ``match``, whose shortest alternating paths ``dist`` failed the check
-    of :func:`_check`.
+    ``match``, whose completion excesses ``excess`` failed the check of
+    :func:`_check`.
 
-    Row i keeps its column unless a smaller free column j has a cheapest
-    completion within the tolerance left. That completion moves row i to
-    j and shifts the other rows along the shortest alternating path from j
-    back to i's column, so its excess is the reduced cost of (i, j) plus
-    that path's length over reduced costs. Unused columns act as one hub:
-    leaving any of them for column b costs ``-v[b]``.
+    The first row with a smaller column within the tolerance left takes
+    the smallest such column, and the rows before it keep theirs. The
+    rows after it are matched again on the columns left, one optimal map,
+    and priced again, until no row can move.
     """
     n, m = cost.shape
-    v = _potentials(match, dist, m)
-    reduced = _reduced(cost, match, v)
-    owner = np.full(m, -1)
-    owner[match] = np.arange(n)
     match = match.copy()
-    free = np.ones(m, dtype=bool)
-    spent = 0.0
-    for i in range(n):
-        t = int(match[i])
-        for j in np.flatnonzero(free[:t] & (reduced[i, :t] <= tol - spent)).tolist():
-            found = _alternating_path(reduced[i + 1:], v, owner - (i + 1), free, j, t,
-                                      tol - spent - reduced[i, j])
-            if found is None:
-                continue
-            length, path = found
-            spent += reduced[i, j] + length
-            movers = owner[path[:-1]]
-            owner[path[1:]] = movers
-            owner[j] = i
-            real = movers >= 0
-            match[movers[real]] = np.asarray(path[1:])[real]
-            match[i] = j
-            free[j] = False
-            if i + 1 < n:
-                # fresh potentials for the rows still free to move
-                rest = np.flatnonzero(free)
-                pos = np.full(m, -1)
-                pos[rest] = np.arange(len(rest))
-                sub_match = pos[match[i + 1:]]
-                sub = cost[i + 1:, rest]
-                sub_move = sub - sub[np.arange(n - i - 1), sub_match][:, None]
-                sub_dist = _row_distances(sub_move[None], sub_match[None])
-                v = np.zeros(m)
-                v[rest] = _potentials(sub_match, sub_dist[:, :, 0], len(rest))
-                reduced[i + 1:] = _reduced(cost[i + 1:], match[i + 1:], v)
-            break
-        free[match[i]] = False
-    return match
-
-
-def _alternating_path(reduced, v, owner, free, start, target, budget):
-    """Shortest path from column ``start`` to column ``target`` of length at
-    most ``budget``, as (length, columns), or None.
-
-    ``reduced`` holds the rows that may still move, ``owner`` maps a column
-    to its row there (negative when the column is unused or taken by a row
-    that may not move) and only ``free`` columns are entered. A row leaves
-    its column for column b at ``reduced[row, b]``; an unused column is left
-    for column b at ``-v[b]``.
-    """
-    dist = {start: 0.0}
-    prev = {}
-    heap = [(0.0, start)]
-    done = set()
-    cols = np.flatnonzero(free)
-    while heap:
-        d, b = heapq.heappop(heap)
-        if b in done:
-            continue
-        if b == target:
-            path = [b]
-            while path[-1] != start:
-                path.append(prev[path[-1]])
-            return d, path[::-1]
-        done.add(b)
-        k = owner[b]
-        leave = reduced[k] if k >= 0 else -v
-        for c in cols[d + leave[cols] <= budget].tolist():
-            nd = d + leave[c]
-            if c not in done and nd < dist.get(c, np.inf):
-                dist[c] = nd
-                prev[c] = b
-                heapq.heappush(heap, (nd, c))
-    return None
+    first, spent = 0, 0.0
+    free, sub = np.arange(m), match
+    while True:
+        movable = (excess <= tol - spent) & (np.arange(len(free)) < sub[:, None])
+        hit = np.flatnonzero(movable.any(axis=1))
+        if not len(hit):
+            return match
+        r = int(hit[0])
+        j = int(movable[r].argmax())
+        spent += excess[r, j]
+        match[first + r] = free[j]
+        first += r + 1
+        if first == n:
+            return match
+        left = np.ones(m, dtype=bool)
+        left[match[:first]] = False
+        free = np.flatnonzero(left)
+        rest = cost[first:, free]
+        sub = optimal_map(rest)
+        match[first:] = free[sub]
+        excess = _completions(rest[None], sub[None])[0]
 
 
 def assignment_value(matrix: WeightMatrix, row_to_col: np.ndarray) -> float:

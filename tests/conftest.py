@@ -6,7 +6,7 @@ capacity pruning for the pairwise-key program, plain bisection for the
 key-rate zero crossing, scalar per-triple geometry for the visibility scan,
 loop-by-loop builders of the integer programs that the library assembles
 from index arrays, dict-based Phase-1 schedulers for the array ones (on
-the re-solve assignment solver the dual-certified one replaced), and a
+the re-solve assignment solver that the priced tie walk replaced), and a
 dict-based joint-capacity sum for the array helper, and the row-by-row
 ``csv.writer`` and slot-by-slot greedy that the columnar writer and the
 pre-indexed greedy replaced, the all-satellite visibility scan that the
@@ -308,7 +308,6 @@ def reference_scan(scenario, chunk=2048):
         n_slots=time.slot_count, n_sats=scenario.n_sats,
         n_stations=scenario.n_stations, slot=slot, sat=sat, station=station,
         elevation_deg=elev, distance_km=dist,
-        tau=reference_usable_slot_counts(slot, sat, time.slot_count, scenario.n_sats),
     )
 
 
@@ -651,7 +650,7 @@ class _ReferenceSlotView:
 
 
 def reference_solve_assignment(matrix, maximize=True):
-    """The assignment solver as it was before the dual-certified tie rule.
+    """The assignment solver as a re-solve loop, before the priced tie walk.
 
     Fixes rows in order; each takes the smallest column index for which an
     exact re-solve of the remaining rows (``linear_sum_assignment``) keeps

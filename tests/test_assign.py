@@ -146,12 +146,13 @@ def _near_tie_matrix(rng, n_rows, n_cols, integer, with_heavy):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 4),
        st.booleans(), st.booleans(), st.booleans())
-# rows that already moved along a path move again: stale potentials fail these
+# a row moves after an earlier row has moved and the rows after it were
+# matched again: the walk must price them against the new, fixed prefix
 @example(16, 5, 2, False, False, True)
 @example(18, 5, 2, False, True, False)
 def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maximize,
                                          with_heavy):
-    """The dual-certified tie rule picks the map the re-solve loop picks.
+    """The priced tie walk picks the map the re-solve loop picks.
 
     A heavy row, forced onto a column of its own, widens the tolerance
     far beyond the nudges, so several rows may spend slack on near-ties.
@@ -171,6 +172,9 @@ def test_property_matches_resolve_oracle(seed, n_rows, extra_cols, integer, maxi
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(0, 3), st.integers(1, 6),
        st.booleans(), st.booleans(), st.booleans())
+# integer ties where a row could take a smaller column only by displacing an
+# earlier row, which the tie rule keeps in place: the map must pass
+@example(111, 2, 0, 3, True, False, False)
 def test_batched_certificate_matches_single_fast_exit(seed, n_rows, extra_cols, k, integer,
                                                       maximize, with_heavy):
     """``certify`` on a stack of K maps of one shape gives each map the
@@ -200,5 +204,13 @@ def test_batched_certificate_matches_single_fast_exit(seed, n_rows, extra_cols, 
             walked.clear()
             got = solve_assignment(matrix, maximize=maximize)
             assert bool(walked) == (not verdict)
-            if verdict:
-                assert got.tolist() == match.tolist()
+            # the certificate is exact: a map fails only if the walk changes it
+            assert (got.tolist() == match.tolist()) == verdict
+
+
+def test_certificate_passes_a_map_no_earlier_row_lets_move():
+    # row 1 could take column 0 only if row 0 gave it up, and row 0 keeps
+    # its column under the tie rule, so the map is the tie rule's answer
+    assert certify(np.zeros((1, 2, 2)), np.array([[0, 1]])).tolist() == [True]
+    got = solve_assignment(WeightMatrix(weights=np.zeros((2, 2))))
+    assert got.tolist() == [0, 1]

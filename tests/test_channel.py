@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import channel
 from qkdsched.channel import EstimateTable
-from qkdsched.orbit import VisibilityTable, build_visibility
+from qkdsched.orbit import VisibilityTable, build_visibility, usable_slot_counts
 from qkdsched.scenario import load_scenario
 
 from conftest import (bisect_root, make_table, random_table,
@@ -313,7 +313,8 @@ def test_build_estimates_empty_visibility(toy_scenario):
         assert len(table) == 0
         for name in ("transmissivity", "successes", "qber", "rate", "cloud", "key_bits"):
             assert getattr(table, name).shape == (0,), name
-        assert table.tau().tolist() == vis.tau.tolist() == [0]
+        tau = usable_slot_counts(vis.slot, vis.sat, vis.n_sats)
+        assert table.tau().tolist() == tau.tolist() == [0]
 
 
 def test_slot_spans_and_tau_match_hash_formulas(rng):

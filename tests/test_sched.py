@@ -1,9 +1,17 @@
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import sched
-from qkdsched.weather import apply_filter
+from qkdsched.channel import build_estimates
+from qkdsched.orbit import build_visibility
+from qkdsched.scenario import load_scenario
+from qkdsched.weather import apply_filter, cloud_matrix, load_clouds
 from conftest import (_ReferenceSlotView, _reference_solve_slot, check_schedule,
                       make_table, random_table, reference_run_greedy,
                       reference_run_greedy_per_slot, reference_run_opportunistic,
@@ -483,3 +491,34 @@ def test_greedy_on_a_table_the_filter_empties():
     got = sched.run_greedy(empty)
     _assert_same_schedule(got, reference_run_greedy_per_slot(empty))
     assert len(got) == 0 and got.key_pool.shape == (2, 2)
+
+
+# ---------------------------------------------------------------- golden digests
+
+_GLOBAL_CUT_PASSES = 4
+
+
+def _schedule_digests(schedule):
+    """sha256 of the served (slot, sat, station) triples and of the key pools."""
+    triples = np.stack([schedule.slot, schedule.sat, schedule.station]).astype("<i8")
+    return {"served": hashlib.sha256(triples.tobytes()).hexdigest(),
+            "key_pool": hashlib.sha256(schedule.key_pool.astype("<i8").tobytes()).hexdigest()}
+
+
+def test_global_cut_rr_and_op_rr_match_digests():
+    """rr and op-rr on the 2400-slot ``global_a500`` cut with the sample
+    clouds and the 0.8 filter keep serving what they served when
+    data/global_cut_digests.json was recorded. At this scale both take the
+    tie rule's walk in many slots and op certifies windows of maps."""
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    scn = load_scenario(scenarios / "global_a500.ini")
+    scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
+    clouds = cloud_matrix(load_clouds(scenarios / "clouds_sample.csv", date=scn.time.epoch),
+                          scn)
+    table = apply_filter(build_estimates(scn, build_visibility(scn), clouds))
+    rr = sched.run_rr(table)
+    op = sched.run_opportunistic(table, sched.derive_min_rates(rr, table),
+                                 max_passes=_GLOBAL_CUT_PASSES)
+    got = {"rr": _schedule_digests(rr), "op-rr": _schedule_digests(op)}
+    want = json.loads((Path(__file__).parent / "data" / "global_cut_digests.json").read_text())
+    assert got == want
