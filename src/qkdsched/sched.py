@@ -22,13 +22,14 @@ Hall's condition, the plan keeps whichever rows
 
 Round-robin solves each slot with :func:`solve_assignment`: its integer
 counters tie, and the tie rule's walk runs in 275 of the 1800 slot solves
-of the seed-1 benchmark slice of ``global_a500``. An opportunistic pass instead serves each slot by its raw optimal
-map (:func:`optimal_map`, one LSAP call) and checks the tie rule once per
-window of up to ``_WINDOW`` slots, with one batched certificate per
-kept-matrix shape (:func:`certify`). Where a map fails, the pass takes the
-window back to the failing slot, solves that slot exactly with
-:func:`solve_assignment` and goes on from there, so its decisions are
-those of solving every slot with :func:`solve_assignment`.
+of the seed-1 benchmark slice of ``global_a500``. An opportunistic pass
+instead serves each slot by its raw optimal map (:func:`optimal_map`, one
+LSAP call) and checks the tie rule once per window of up to ``_WINDOW``
+slots, with one batched certificate per kept-matrix shape
+(:func:`certify`). Where a map fails, the pass takes the window back to
+the failing slot, solves that slot exactly with :func:`solve_assignment`
+and goes on from there, so its decisions are those of solving every slot
+with :func:`solve_assignment`.
 
 Greedy solves no assignment. One sort per block of ``_BLOCK`` slots puts
 each slot's rows in bid order, and the rounds run over Python lists

@@ -495,8 +495,6 @@ def test_greedy_on_a_table_the_filter_empties():
 
 # ---------------------------------------------------------------- golden digests
 
-_GLOBAL_CUT_PASSES = 4
-
 
 def _schedule_digests(schedule):
     """sha256 of the served (slot, sat, station) triples and of the key pools."""
@@ -508,8 +506,9 @@ def _schedule_digests(schedule):
 def test_global_cut_rr_and_op_rr_match_digests():
     """rr and op-rr on the 2400-slot ``global_a500`` cut with the sample
     clouds and the 0.8 filter keep serving what they served when
-    data/global_cut_digests.json was recorded. At this scale both take the
-    tie rule's walk in many slots and op certifies windows of maps."""
+    data/global_cut_digests.json was recorded. At this scale rr's integer
+    counters send many slots through the tie rule's walk, and op certifies
+    windows of maps."""
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     scn = load_scenario(scenarios / "global_a500.ini")
     scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
@@ -518,7 +517,7 @@ def test_global_cut_rr_and_op_rr_match_digests():
     table = apply_filter(build_estimates(scn, build_visibility(scn), clouds))
     rr = sched.run_rr(table)
     op = sched.run_opportunistic(table, sched.derive_min_rates(rr, table),
-                                 max_passes=_GLOBAL_CUT_PASSES)
+                                 max_passes=4)
     got = {"rr": _schedule_digests(rr), "op-rr": _schedule_digests(op)}
     want = json.loads((Path(__file__).parent / "data" / "global_cut_digests.json").read_text())
     assert got == want
