@@ -147,11 +147,11 @@ def _check(cost: np.ndarray, match: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _grid(K: int, n: int, m: int) -> tuple:
-    """Index arrays over a (K, n, m) stack, built once per shape.
-
-    Round-robin makes a K = 1 check for every slot it solves, and building
-    these small arrays each time was a measurable share of its solve.
-    """
+    """Index arrays over a (K, n, m) stack, built once per shape. Shapes
+    repeat across a pass's windows and exact re-solves: 97 % of full-day
+    round-robin's 111 980 grids hit the cache, and without it that run
+    took 15.5-15.9 s against 10.9-13.9 s on a shared 2-core machine
+    (within noise in six later interleaved pairs)."""
     kk, rows, cols = np.arange(K)[:, None], np.arange(n), np.arange(m)
     for a in (kk, rows, cols):
         a.flags.writeable = False

@@ -11,25 +11,21 @@ A schedule is a served-row mask over the estimate table, which is sorted
 by (slot, satellite, station); :meth:`Schedule.from_mask` turns any mask
 into served triples and key pools.
 
-Round-robin and the opportunistic passes solve one assignment per slot.
-What does not depend on the weights is planned once per table
-(:func:`slot_plan`): each slot's capacity-copy matrix, cut down to the
-rows kept where Hall's condition fails and the columns they reach. Each
-pass then only gathers a slot's weights into its kept matrix and solves
-it (:func:`_solve_slot`). Known limitation: in a slot that violates
-Hall's condition, the plan keeps whichever rows
-``maximum_bipartite_matching`` matches, whatever their weights.
-
-Round-robin solves each slot with :func:`solve_assignment`: its integer
-counters tie, and the tie rule's walk runs in 275 of the 1800 slot solves
-of the seed-1 benchmark slice of ``global_a500``. An opportunistic pass
-instead serves each slot by its raw optimal map (:func:`optimal_map`, one
-LSAP call) and checks the tie rule once per window of up to ``_WINDOW``
-slots, with one batched certificate per kept-matrix shape
-(:func:`certify`). Where a map fails, the pass takes the window back to
-the failing slot, solves that slot exactly with :func:`solve_assignment`
-and goes on from there, so its decisions are those of solving every slot
-with :func:`solve_assignment`.
+Round-robin and the opportunistic scheduler run one pass engine
+(:class:`_Passes`) and supply only the function that writes a slot's
+costs from its links' service counters or multipliers. What does not
+depend on the costs is planned once per table (:func:`slot_plan`): each
+slot's capacity-copy matrix, cut down to the rows kept where Hall's
+condition fails and the columns they reach. A pass serves each slot by
+its raw optimal map (:func:`optimal_map`, one LSAP call), certifies the
+maps a window of slots at a time (:func:`certify`) and solves a slot
+whose map fails exactly (:func:`_solve_slot`), so its decisions are
+those of solving every slot with :func:`solve_assignment`. Round-robin's
+integer counters tie often: 275 of the 1800 slots of the seed-1
+benchmark slice of ``global_a500`` fail the certificate. Known
+limitation: in a slot that violates Hall's condition, the plan keeps
+whichever rows ``maximum_bipartite_matching`` matches, whatever their
+costs.
 
 Greedy solves no assignment. One sort per block of ``_BLOCK`` slots puts
 each slot's rows in bid order, and the rounds run over Python lists
@@ -230,9 +226,9 @@ def _build_plan(estimates: EstimateTable) -> SlotPlan:
     return SlotPlan(lo, hi, rows, cols, off, matrix)
 
 
-def _solve_slot(plan: SlotPlan, p: int, weight: np.ndarray, maximize: bool) -> np.ndarray:
-    """Slot-local table rows that an optimal assignment of planned slot
-    ``p`` serves, given one weight per row of the slot.
+def _solve_slot(plan: SlotPlan, p: int, cost: np.ndarray) -> np.ndarray:
+    """Slot-local table rows that a minimum-cost assignment of planned slot
+    ``p`` serves, given one cost per row of the slot.
 
     The slot's kept matrix is solved whole, so ties are broken under the
     tolerance of the whole slot's optimum, as an unplanned solve would.
@@ -241,34 +237,30 @@ def _solve_slot(plan: SlotPlan, p: int, weight: np.ndarray, maximize: bool) -> n
     at, n, m = int(plan.off[p]), int(plan.rows[p]), int(plan.cols[p])
     kept = plan.kept[at:at + n * m].reshape(n, m)
     choice = solve_assignment(
-        WeightMatrix(weights=np.append(weight, 0.0)[kept], feasible=kept < len(weight)),
-        maximize=maximize)
+        WeightMatrix(weights=np.append(cost, 0.0)[kept], feasible=kept < len(cost)),
+        maximize=False)
     return kept[np.arange(n), choice]
 
 
 def run_rr(estimates: EstimateTable) -> Schedule:
     """Round-robin: balance how often each link is served.
 
-    Slots whose graph is a single satellite-station edge are assigned
-    directly. Every other slot is solved, in time order, as a minimum-sum
-    assignment over the current service counters, which rotates service
-    across links regardless of their quality.
+    Each link's service counter starts at the number of slots whose graph
+    is its single edge. One pass of :class:`_Passes` then solves every slot
+    in time order as a minimum-sum assignment over the counters, which
+    rotates service across links regardless of their quality, and counts
+    each service of a link in a slot of several rows.
     """
     link = _links(estimates)
     plan = slot_plan(estimates)
-    single = plan.hi - plan.lo == 1
-    served = np.zeros(len(estimates), dtype=bool)
-    served[plan.lo[single]] = True
-    counters = np.bincount(link[plan.lo[single]],
+    single = plan.lo[plan.hi - plan.lo == 1]
+    counters = np.bincount(link[single],
                            minlength=estimates.n_sats * estimates.n_stations).astype(float)
-    for p, (a, b) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
-        if b - a == 1:
-            continue
-        rows = a + _solve_slot(plan, p, counters[link[a:b]], maximize=False)
-        served[rows] = True
-        # a repeated row (two capacity copies of one link) counts once
-        counters[link[rows]] += 1.0
-    return Schedule.from_mask(estimates, served, {"scheduler": "rr"})
+    served_step = np.ones(len(estimates))
+    served_step[single] = 0.0
+    passes = _Passes(plan, link, counters, served_step, np.zeros(len(estimates)),
+                     lambda counts, a, b, out: np.copyto(out, counts))
+    return Schedule.from_mask(estimates, passes.run(), {"scheduler": "rr"})
 
 
 # slots per block of the greedy kernel; bounds the Python lists it holds
@@ -392,21 +384,27 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     unserved visible links tighten by delta * r, both clamped at zero.
     Passes repeat over the whole horizon until the largest multiplier drift
     across a pass drops below ``tol`` or ``max_passes`` is hit; the last
-    pass's decisions are the schedule.
-
-    A pass serves each slot by its raw optimal map and checks the tie rule
-    once per window of up to ``_WINDOW`` slots: the maps of the window's
-    slots with one kept-matrix shape are certified together
-    (:func:`certify`). A map that fails would have been changed by the tie
-    rule, so every decision after it rests on the wrong multipliers. The
-    pass then restores the multipliers and served rows of the window's
-    start, replays the certified slots before the failing one, solves that
-    one with :func:`solve_assignment` and opens the next window after it,
-    as long as the run of slots that certified. The schedule is therefore
-    the one that solving every slot with :func:`solve_assignment` gives.
+    pass's decisions are the schedule, those of solving every slot with
+    :func:`solve_assignment` (:class:`_Passes`).
     """
     check_opportunistic(delta, max_passes)
-    state = _OpportunisticPasses(estimates, targets, delta)
+    link = _links(estimates)
+    bits, norm = estimates.key_bits, estimates.normalizer
+
+    def cost(lam, a, b, out):
+        # -(1 + lambda) * bits / norm: a negated divisor negates the rounded
+        # quotient exactly, so this minimum is the maximum of the weights
+        np.add(lam, 1.0, out=out)
+        np.multiply(out, bits[a:b], out=out)
+        np.divide(out, -norm, out=out)
+
+    # a served row adds -delta * (U - r) to its link's multiplier, an
+    # unserved one delta * r, made in r's place; x - y and x + (-y) round alike
+    r = targets.rates.ravel()[link]
+    served_step = -(delta * (bits / norm - r))
+    r *= delta
+    state = _Passes(slot_plan(estimates), link, np.zeros(estimates.n_sats * estimates.n_stations),
+                    served_step, r, cost)
     converged = False
     for passes in range(1, max_passes + 1):
         lam_start = state.lam.copy()
@@ -424,28 +422,33 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
     })
 
 
-# most slots whose maps an opportunistic pass certifies together; it bounds
-# the kept matrices a pass holds at once
+# most slots whose maps a pass certifies together; bounds the matrices it holds
 _WINDOW = 1024
 
 
-class _OpportunisticPasses:
-    """The passes of one :func:`run_opportunistic` call: the multipliers
-    and what every pass shares, namely the slot plan, each row's two
-    multiplier steps, and the windows with their multi-row slots grouped
-    by kept-matrix shape."""
+class _Passes:
+    """Passes over the slots of a plan that serve each slot by the tie
+    rule's assignment of the costs ``cost(lam[link[a:b]], a, b, out)``
+    writes into ``out`` for its table rows ``[a, b)``. ``lam`` holds one
+    state per link; after each slot, each of its rows moves its link's
+    state by its ``served_step`` or ``unserved_step``, clamped at zero.
 
-    def __init__(self, estimates: EstimateTable, targets: MinRateProfile, delta: float):
-        self.plan = plan = slot_plan(estimates)
-        self.link = _links(estimates)
-        self.bits = estimates.key_bits
-        self.norm = estimates.normalizer
-        self.lam = np.zeros(estimates.n_sats * estimates.n_stations)
-        r = targets.rates.ravel()[self.link]
-        # a served row adds -delta * (U - r) to its link's multiplier, an
-        # unserved one delta * r; x - y and x + (-y) round alike
-        self.served_step = -(delta * (self.bits / self.norm - r))
-        self.unserved_step = delta * r
+    A pass serves each slot by its raw optimal map and checks the tie rule
+    once per window of up to ``_WINDOW`` slots: the maps of the window's
+    slots with one kept-matrix shape are certified together
+    (:func:`certify`). A map that fails would have been changed by the tie
+    rule, so every decision after it rests on the wrong state. The pass
+    then restores the state and served rows of the window's start, replays
+    the certified slots before the failing one, solves that one with
+    :func:`solve_assignment` and opens the next window after it, as long as
+    the run of slots that certified. The served rows are therefore those
+    that solving every slot with :func:`solve_assignment` gives.
+    """
+
+    def __init__(self, plan: SlotPlan, link: np.ndarray, lam: np.ndarray,
+                 served_step: np.ndarray, unserved_step: np.ndarray, cost):
+        self.plan, self.link, self.lam, self.cost = plan, link, lam, cost
+        self.served_step, self.unserved_step = served_step, unserved_step
         self.lo, self.hi = plan.lo.tolist(), plan.hi.tolist()
         n, m = plan.rows.tolist(), plan.cols.tolist()
         self.kept = [plan.kept[at:at + a * b].reshape(a, b)
@@ -464,7 +467,7 @@ class _OpportunisticPasses:
                     self.where[p] = (g, len(members[g]))
                     members[g].append(p)
             self.windows.append((first, stop, [np.array(slots) for slots in members]))
-        # one slot's negated weights, then inf for the plan's missing links
+        # one slot's costs, then inf for the plan's missing links
         self.cost_of = np.empty(int((plan.hi - plan.lo).max(initial=0)) + 1)
         self.rank = np.arange(max(n, default=0))
 
@@ -514,28 +517,23 @@ class _OpportunisticPasses:
 
     def _redo(self, start, bad, end, lam_start, picked, served) -> None:
         """Take back slots ``[start, end)``, whose map at slot ``bad``
-        failed its certificate: restore the multipliers, replay the
+        failed its certificate: restore the links' states, replay the
         certified slots before ``bad`` and solve ``bad`` exactly."""
         self.lam[:] = lam_start
         served[self.lo[start]:self.hi[end - 1]] = False
         for p, rows in zip(range(start, bad), picked):
             self._step(p, rows, served)
         a, b = self.lo[bad], self.hi[bad]
-        weight = (1.0 + self.lam[self.link[a:b]]) * self.bits[a:b] / self.norm
-        self._step(bad, a + _solve_slot(self.plan, bad, weight, maximize=True), served)
+        cost = np.empty(b - a)
+        self.cost(self.lam[self.link[a:b]], a, b, cost)
+        self._step(bad, a + _solve_slot(self.plan, bad, cost), served)
 
     def _solve(self, p, costs, maps, served) -> np.ndarray:
         """Serve slot ``p`` by its raw optimal map, keeping a multi-row
         slot's cost matrix and map for the certificate; returns the
         served table rows."""
-        a, b, kept = self.lo[p], self.hi[p], self.kept[p]
-        # the cost -(1 + lambda) * bits / norm that _solve_slot builds, bit
-        # for bit: a negated divisor negates the rounded quotient exactly
-        cost_of = self.cost_of
-        w = cost_of[:b - a]
-        np.add(self.lam[self.link[a:b]], 1.0, out=w)
-        np.multiply(w, self.bits[a:b], out=w)
-        np.divide(w, -self.norm, out=w)
+        a, b, kept, cost_of = self.lo[p], self.hi[p], self.kept[p], self.cost_of
+        self.cost(self.lam[self.link[a:b]], a, b, cost_of[:b - a])
         cost_of[b - a] = np.inf
         if self.where[p] is None:
             match = optimal_map(cost_of[kept])
@@ -548,7 +546,7 @@ class _OpportunisticPasses:
         return rows
 
     def _step(self, p, rows, served) -> None:
-        """Mark slot ``p``'s served rows and move its links' multipliers."""
+        """Mark slot ``p``'s served rows and move its links' states."""
         a, b = self.lo[p], self.hi[p]
         served[rows] = True
         l = self.link[a:b]

@@ -329,56 +329,69 @@ def test_schedulers_match_reference(rng, monkeypatch):
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_opportunistic_windows_match_reference(rng, monkeypatch, window):
     """Certifying a window of raw slot maps at once serves what solving
-    every slot on its own serves, when windows are a few slots long, so
-    that tables cross window boundaries and a certificate that fails after
-    a window's first slot makes the pass replay that window.
+    every slot on its own serves, for rr and op, when windows are a few
+    slots long, so that tables cross window boundaries and a certificate
+    that fails after a window's first slot makes the pass replay that
+    window.
 
-    Rounded key bits (ties and zero-bit rows) and capacities of one and two
-    make certificates fail, so the exact fallback must run.
+    Rounded key bits (ties and zero-bit rows), rr's integer counters and
+    capacities of one and two make certificates fail, so the exact
+    fallback must run for both schedulers.
     """
     monkeypatch.setattr(sched, "_WINDOW", window)
     fallbacks, replays = [], []
     solve = sched.solve_assignment
     monkeypatch.setattr(sched, "solve_assignment",
                         lambda *a, **k: fallbacks.append(1) or solve(*a, **k))
-    redo = sched._OpportunisticPasses._redo
+    redo = sched._Passes._redo
 
     def counted(self, start, bad, *args):
         replays.append(bad > start)
         return redo(self, start, bad, *args)
 
-    monkeypatch.setattr(sched._OpportunisticPasses, "_redo", counted)
-    for trial in range(24):
-        table = _reference_case(rng, rounded=trial % 4 != 3)
-        targets = sched.derive_min_rates(reference_run_rr(table), table)
-        _assert_same_schedule(
-            sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
-            reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
-    assert fallbacks
-    assert any(replays) or window == 1
+    monkeypatch.setattr(sched._Passes, "_redo", counted)
+    for name in ("rr", "op"):
+        fallbacks.clear()
+        replays.clear()
+        for trial in range(24):
+            table = _reference_case(rng, rounded=trial % 4 != 3)
+            rr = reference_run_rr(table)
+            if name == "rr":
+                _assert_same_schedule(sched.run_rr(table), rr)
+                continue
+            targets = sched.derive_min_rates(rr, table)
+            _assert_same_schedule(
+                sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
+                reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
+        assert fallbacks, name
+        assert any(replays) or window == 1, name
 
 
 def test_opportunistic_work_stays_linear_when_certificates_fail(monkeypatch):
     """With integer key bits and no floors, no multiplier ever breaks a
-    tie, so many slot maps fail their certificates. A pass must still
-    solve each slot a few times at most, not once more for every failure
-    before it in its window."""
+    tie, and rr's integer counters tie too, so many slot maps fail their
+    certificates. A pass of either scheduler must still solve each slot a
+    few times at most, not once more for every failure before it in its
+    window."""
     rng = np.random.default_rng(5)
     rows = [(t, s, g, float(rng.integers(0, 4))) for t in range(400)
             for s in range(3) for g in range(4) if rng.random() < 0.6]
     table = make_table(400, 3, 4, rows)
     targets = sched.MinRateProfile(rates=np.zeros((3, 4)), normalizer=table.normalizer)
     solves, fallbacks = [], []
-    solve = sched._OpportunisticPasses._solve
-    monkeypatch.setattr(sched._OpportunisticPasses, "_solve",
+    solve = sched._Passes._solve
+    monkeypatch.setattr(sched._Passes, "_solve",
                         lambda self, *a: solves.append(1) or solve(self, *a))
     exact = sched.solve_assignment
     monkeypatch.setattr(sched, "solve_assignment",
                         lambda *a, **k: fallbacks.append(1) or exact(*a, **k))
-    out = sched.run_opportunistic(table, targets)
-    slots = len(sched.slot_plan(table).lo) * out.metadata["passes"]
-    assert len(fallbacks) > slots // 20
-    assert len(solves) <= 3 * slots
+    for run in (sched.run_rr, lambda table: sched.run_opportunistic(table, targets)):
+        solves.clear()
+        fallbacks.clear()
+        out = run(table)
+        slots = len(sched.slot_plan(table).lo) * out.metadata.get("passes", 1)
+        assert len(fallbacks) > slots // 20, out.metadata
+        assert len(solves) <= 3 * slots, out.metadata
 
 
 def _slot_case(rng):
@@ -434,7 +447,9 @@ def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
                        zip(table.sat[a:b], table.station[a:b], weight[a:b])}
             view = _ReferenceSlotView(table, np.arange(a, b))
             for maximize in (True, False):
-                rows = a + sched._solve_slot(plan, p, weight[a:b], maximize)
+                # maximising the weights is minimising their negation
+                cost = -weight[a:b] if maximize else weight[a:b]
+                rows = a + sched._solve_slot(plan, p, cost)
                 got = sorted(set(zip(table.sat[rows].tolist(), table.station[rows].tolist())))
                 want = sorted(_reference_solve_slot(view, lambda s, g: by_link[(s, g)],
                                                     maximize))
@@ -483,14 +498,22 @@ def test_greedy_blocks_match_per_slot_reference(rng, monkeypatch, block):
 
 
 def test_greedy_on_a_table_the_filter_empties():
+    """rr, greedy and op on a table with no rows serve nothing, as their
+    references do; rr and op build their pass over zero slots."""
     table = make_table(3, 2, 2, [(0, 0, 0, 1.0), (1, 1, 1, 2.0), (2, 0, 1, 3.0)],
                        transmitters=[2, 1], receivers=[1, 3])
     table.cloud[:] = 0.9
     empty = apply_filter(table, 0.8)
     assert len(empty) == 0
-    got = sched.run_greedy(empty)
-    _assert_same_schedule(got, reference_run_greedy_per_slot(empty))
-    assert len(got) == 0 and got.key_pool.shape == (2, 2)
+    targets = sched.MinRateProfile(rates=np.zeros((2, 2)), normalizer=1.0)
+    for run, reference in (
+            (sched.run_rr, reference_run_rr),
+            (sched.run_greedy, reference_run_greedy_per_slot),
+            (lambda t: sched.run_opportunistic(t, targets),
+             lambda t: reference_run_opportunistic(t, targets))):
+        got = run(empty)
+        _assert_same_schedule(got, reference(empty))
+        assert len(got) == 0 and got.key_pool.shape == (2, 2)
 
 
 # ---------------------------------------------------------------- golden digests
@@ -506,9 +529,9 @@ def _schedule_digests(schedule):
 def test_global_cut_rr_and_op_rr_match_digests():
     """rr and op-rr on the 2400-slot ``global_a500`` cut with the sample
     clouds and the 0.8 filter keep serving what they served when
-    data/global_cut_digests.json was recorded. At this scale rr's integer
-    counters send many slots through the tie rule's walk, and op certifies
-    windows of maps."""
+    data/global_cut_digests.json was recorded. Both certify windows of raw
+    maps in one pass engine, and at this scale rr's integer counters fail
+    many certificates, so its window replays and exact solves run too."""
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     scn = load_scenario(scenarios / "global_a500.ini")
     scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
