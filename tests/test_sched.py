@@ -357,12 +357,12 @@ def test_opportunistic_windows_match_reference(rng, monkeypatch, window):
             table = _reference_case(rng, rounded=trial % 4 != 3)
             rr = reference_run_rr(table)
             if name == "rr":
-                _assert_same_schedule(sched.run_rr(table), rr)
-                continue
-            targets = sched.derive_min_rates(rr, table)
-            _assert_same_schedule(
-                sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
-                reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
+                got, want = sched.run_rr(table), rr
+            else:
+                targets = sched.derive_min_rates(rr, table)
+                got = sched.run_opportunistic(table, targets, delta=0.05, max_passes=4)
+                want = reference_run_opportunistic(table, targets, delta=0.05, max_passes=4)
+            _assert_same_schedule(got, want)
         assert fallbacks, name
         assert any(replays) or window == 1, name
 
