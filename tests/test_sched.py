@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import sched
+from qkdsched.alloc import iterate_phase2, station_pairs
 from qkdsched.channel import build_estimates
 from qkdsched.orbit import build_visibility
 from qkdsched.scenario import load_scenario
@@ -527,11 +528,12 @@ def _schedule_digests(schedule):
 
 
 def test_global_cut_rr_and_op_rr_match_digests():
-    """rr and op-rr on the 2400-slot ``global_a500`` cut with the sample
-    clouds and the 0.8 filter keep serving what they served when
-    data/global_cut_digests.json was recorded. Both certify windows of raw
-    maps in one pass engine, and at this scale rr's integer counters fail
-    many certificates, so its window replays and exact solves run too."""
+    """rr, greedy and op-rr on the 2400-slot ``global_a500`` cut with the
+    sample clouds and the 0.8 filter, and Phase 2 on each one's pools, keep
+    giving what they gave when data/global_cut_digests.json was recorded.
+    rr and op-rr certify windows of raw maps in one pass engine, and at this
+    scale rr's integer counters fail many certificates, so its window
+    replays and exact solves run too."""
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     scn = load_scenario(scenarios / "global_a500.ini")
     scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
@@ -539,8 +541,14 @@ def test_global_cut_rr_and_op_rr_match_digests():
                           scn)
     table = apply_filter(build_estimates(scn, build_visibility(scn), clouds))
     rr = sched.run_rr(table)
-    op = sched.run_opportunistic(table, sched.derive_min_rates(rr, table),
-                                 max_passes=4)
-    got = {"rr": _schedule_digests(rr), "op-rr": _schedule_digests(op)}
+    schedules = {"rr": rr, "greedy": sched.run_greedy(table),
+                 "op-rr": sched.run_opportunistic(table, sched.derive_min_rates(rr, table),
+                                                  max_passes=4)}
+    pairs = station_pairs(table.n_stations)
+    got = {name: _schedule_digests(schedule) for name, schedule in schedules.items()}
+    got["phase2_bits"] = {
+        name: hashlib.sha256(iterate_phase2(schedule.key_pool, pairs).bits.astype("<i8")
+                             .tobytes()).hexdigest()
+        for name, schedule in schedules.items()}
     want = json.loads((Path(__file__).parent / "data" / "global_cut_digests.json").read_text())
     assert got == want
