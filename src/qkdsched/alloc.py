@@ -33,7 +33,8 @@ from .sched import Schedule
 
 @dataclass
 class MilpInstance:
-    """Mixed-integer program: maximize c.x subject to A x <= b and bounds."""
+    """Mixed-integer program: maximize c.x subject to A x <= b and bounds.
+    Only :func:`export_lp` reads the names; a program never exported has none."""
 
     name: str
     objective: np.ndarray
@@ -42,8 +43,8 @@ class MilpInstance:
     lower: np.ndarray
     upper: np.ndarray
     integer: np.ndarray
-    var_names: list
-    row_names: list
+    var_names: list = None
+    row_names: list = None
 
     @property
     def n_vars(self) -> int:
@@ -175,7 +176,6 @@ def solve_phase2_maxmin(pools, pairs):
     rows = np.concatenate([np.arange(n_pairs), pair, n_pairs + pool_row])
     cols = np.concatenate([np.full(n_pairs, n_y), y, y, y])
     data = np.concatenate([np.ones(n_pairs), -np.ones(n_y), np.ones(2 * n_y)])
-    pool_s, pool_g = np.divmod(links, k.shape[1])
     instance = MilpInstance(
         name="phase2_maxmin", objective=np.append(np.zeros(n_y), 1.0),
         a_ub=sparse.csr_matrix((data, (rows, cols)),
@@ -184,10 +184,6 @@ def solve_phase2_maxmin(pools, pairs):
         lower=np.zeros(n_y + 1),
         upper=np.append(cap.astype(float), pair_cap.min()),
         integer=np.append(np.ones(n_y, dtype=bool), False),
-        var_names=[f"y_s{s}_g{pairs[u][0]}_g{pairs[u][1]}"
-                   for u, s in zip(pair.tolist(), sat.tolist())] + ["z"],
-        row_names=[f"floor_g{a}_g{b}" for (a, b) in pairs]
-        + [f"pool_s{s}_g{g}" for s, g in zip(pool_s.tolist(), pool_g.tolist())],
     )
     result = branch_and_bound(instance)
     if result.status != "optimal":
@@ -244,7 +240,6 @@ class BaselineResult:
     schedule: Schedule
     allocation: PairAllocation
     milp: MilpResult
-    instance: MilpInstance = None
 
 
 def _link_capacity(estimates: EstimateTable) -> np.ndarray:
@@ -361,7 +356,7 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
                 schedule=Schedule.from_mask(estimates, chosen, {
                     "scheduler": objective, "exported": True}),
                 allocation=PairAllocation(pairs, bits),
-                milp=MilpResult(status="exported"), instance=instance)
+                milp=MilpResult(status="exported"))
 
     result = branch_and_bound(instance, max_nodes=max_nodes)
     if result.status == "infeasible":
@@ -376,7 +371,7 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
         "milp_gap": float(result.gap) if np.isfinite(result.gap) else None,
         "milp_nodes": result.nodes})
     return BaselineResult(schedule=schedule, allocation=PairAllocation(pairs, bits),
-                          milp=result, instance=instance)
+                          milp=result)
 
 
 # ------------------------------------------------------------------ LP export

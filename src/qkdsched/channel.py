@@ -208,10 +208,7 @@ class EstimateTable:
         """New table with the masked-in rows only."""
         return EstimateTable(
             n_slots=self.n_slots, n_sats=self.n_sats, n_stations=self.n_stations,
-            slot=self.slot[mask], sat=self.sat[mask], station=self.station[mask],
-            transmissivity=self.transmissivity[mask], successes=self.successes[mask],
-            qber=self.qber[mask], rate=self.rate[mask], cloud=self.cloud[mask],
-            key_bits=self.key_bits[mask],
+            **{name: getattr(self, name)[mask] for name in _COLUMNS},
             transmitters=self.transmitters.copy(), receivers=self.receivers.copy(),
             sat_ids=self.sat_ids.copy(), station_ids=self.station_ids.copy(),
         )
@@ -222,10 +219,14 @@ class EstimateTable:
 _CHUNK_ROWS = 16384
 
 
+def slot_hour(slot: np.ndarray, slot_duration_s: float) -> np.ndarray:
+    """Hour of the day (0-23) in which each slot starts, wrapping daily."""
+    return (np.asarray(slot, dtype=np.int64) * slot_duration_s // 3600).astype(np.int64) % 24
+
+
 def noise_bucket(slot: np.ndarray, slot_duration_s: float) -> np.ndarray:
     """Bucket start hour (0/6/12/18) for each slot, wrapping daily."""
-    hour = (np.asarray(slot, dtype=np.int64) * slot_duration_s // 3600).astype(np.int64) % 24
-    return (hour // 6) * 6
+    return (slot_hour(slot, slot_duration_s) // 6) * 6
 
 
 def build_estimates(scenario: Scenario, visibility: VisibilityTable,
@@ -341,8 +342,9 @@ def read_estimates_csv(path) -> EstimateTable:
     positional order and the link capacities. Without it, ids are remapped
     to dense positional indices in sorted-id order, the slot count ends at
     the last occupied slot and every link capacity is one. A wrong header,
-    a row that does not parse as three integers and six floats, and a table
-    without rows are errors.
+    a row that does not parse as three integers and six floats, key bits
+    that are not finite and non-negative, cloud cover outside [0, 1] and a
+    table without rows are errors.
     """
     with open(path) as fh:
         line = fh.readline()
@@ -378,7 +380,7 @@ def _read_columns(fh, path, lines_read: int) -> dict:
 
     The rows are parsed ``_CHUNK_ROWS`` lines at a time, so that only one
     chunk is ever held as records besides the columns. ``lines_read``
-    counts the lines before them, for the line numbers of a parse error.
+    counts the lines before them, for the line numbers of an error.
     """
     pieces = {name: [] for name in _CSV_HEADER}
     with warnings.catch_warnings():
@@ -391,6 +393,12 @@ def _read_columns(fh, path, lines_read: int) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}: lines {lines_read + 1}-{lines_read + len(lines)}: "
                                  f"{exc}") from None
+            bits, cloud = rows["key_bits"], rows["cloud"]
+            bad = np.flatnonzero(~((bits >= 0) & (bits < np.inf) & (cloud >= 0) & (cloud <= 1)))
+            if len(bad):
+                line = lines_read + 1 + [k for k, text in enumerate(lines) if text.strip()][bad[0]]
+                raise ValueError(f"{path}: line {line}: key bits must be finite and "
+                                 "non-negative, and cloud cover in [0, 1]")
             lines_read += len(lines)
             for name, column in pieces.items():
                 column.append(rows[name].copy())

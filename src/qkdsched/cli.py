@@ -11,10 +11,12 @@ tree behind, and a run that fails removes its staging directory. Each
 base schedule (rr, greedy) is computed once per run and shared with the
 opportunistic scheduler that takes its rate floors from it. With more
 than one usable CPU, ``--dump-estimates`` writes ``estimates.csv`` from a
-forked child while the schedulers run; the run waits for it before the
-swap, and a failed or aborted run kills it. All writers are deterministic:
-repeating a run with the same inputs reproduces every artifact byte for
-byte.
+child made with the ``fork`` start method, which inherits the table
+without pickling it, while the schedulers run; the run waits for it before
+the swap, and a failed or aborted run kills it. On one usable CPU, or
+where the platform has no ``fork``, the dump is written inline, where a
+child could not help. All writers are deterministic: repeating a run with
+the same inputs reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ from .sched import (
     run_opportunistic,
     run_rr,
 )
-from .weather import WeatherError, apply_filter, cloud_matrix, load_clouds
-from .workers import fork_context
+from .weather import WeatherError, apply_filter, check_threshold, cloud_matrix, load_clouds
 
 SCHEDULERS = ("rr", "greedy", "op-rr", "op-greedy", "maxmin", "maxsum")
 
@@ -166,6 +167,8 @@ def _cmd_run(args) -> int:
                               "own cloud column")
     if any(name.startswith("op-") for name in names):
         check_opportunistic(args.delta, args.max_passes)
+    if not args.no_filter:
+        check_threshold(args.filter_threshold)
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError("cli", f"output directory '{out}' exists (use --force)")
@@ -236,19 +239,25 @@ def _cmd_run(args) -> int:
 
 
 def _scenario_table(scenario_path, clouds_path) -> EstimateTable:
-    """Scan and estimate a scenario. The visibility table and the cloud
+    """Scan and estimate a scenario. The clouds file is read before the
+    scan, so that a bad one fails fast. The visibility table and the cloud
     matrix die with this call, so they are gone before the filter and the
     schedulers run."""
     _verbose(f"loading scenario {scenario_path}")
     scenario = load_scenario(scenario_path)
+    series = load_clouds(clouds_path, date=scenario.time.epoch) if clouds_path else None
     _verbose(f"scanning visibility for {scenario.n_sats} satellites x "
              f"{scenario.time.slot_count} slots")
     visibility = build_visibility(scenario)
-    clouds = None
-    if clouds_path:
-        series = load_clouds(clouds_path, date=scenario.time.epoch)
-        clouds = cloud_matrix(series, scenario)
+    clouds = None if series is None else cloud_matrix(series, scenario)
     return build_estimates(scenario, visibility, clouds)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _Dump:
@@ -261,9 +270,14 @@ class _Dump:
         self._table, self._path, self._proc = table, path, None
 
     def start(self) -> None:
-        ctx = fork_context()
-        if ctx is None:
+        if usable_cpus() < 2:
             return
+        # imported on first use, so that it stays out of the command's start-up
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return
+        ctx = multiprocessing.get_context("fork")
         self._result, send = ctx.Pipe(duplex=False)
         self._proc = ctx.Process(target=_dump_child, daemon=True,
                                  args=(self._table, self._path, send))

@@ -16,10 +16,11 @@ Round-robin and the opportunistic scheduler run one pass engine
 costs from its links' service counters or multipliers. What does not
 depend on the costs is planned once per table (:func:`slot_plan`): each
 slot's capacity-copy matrix, cut down to the rows kept where Hall's
-condition fails and the columns they reach. A pass serves each slot by
-its raw optimal map (:func:`optimal_map`, one LSAP call), certifies the
-maps a window of slots at a time (:func:`certify`) and solves a slot
-whose map fails exactly (:func:`_solve_slot`), so its decisions are
+condition fails and the columns they reach. A pass gathers each slot's
+cost matrix from its costs once, serves the slot by the matrix's raw
+optimal map (:func:`optimal_map`, one LSAP call), certifies the maps a
+window of slots at a time (:func:`certify`) and hands the matrix of a
+slot whose map fails to :func:`solve_assignment`, so its decisions are
 those of solving every slot with :func:`solve_assignment`. Round-robin's
 integer counters tie often: 275 of the 1800 slots of the seed-1
 benchmark slice of ``global_a500`` fail the certificate. Known
@@ -81,19 +82,6 @@ class Schedule:
                               (estimates.slot, estimates.sat, estimates.station))
         return cls(estimates.n_slots, *shape, slot, sat, station,
                    np.floor(raw).astype(np.int64).reshape(shape), metadata)
-
-
-@dataclass
-class MinRateProfile:
-    """Per-link rate floors for the opportunistic scheduler.
-
-    ``rates`` is an (n_sats, n_stations) array, already normalised by the
-    same global per-slot maximum that scales the opportunistic utilities,
-    so floors and utilities live on one scale.
-    """
-
-    rates: np.ndarray
-    normalizer: float
 
 
 def _links(estimates: EstimateTable) -> np.ndarray:
@@ -226,22 +214,6 @@ def _build_plan(estimates: EstimateTable) -> SlotPlan:
     return SlotPlan(lo, hi, rows, cols, off, matrix)
 
 
-def _solve_slot(plan: SlotPlan, p: int, cost: np.ndarray) -> np.ndarray:
-    """Slot-local table rows that a minimum-cost assignment of planned slot
-    ``p`` serves, given one cost per row of the slot.
-
-    The slot's kept matrix is solved whole, so ties are broken under the
-    tolerance of the whole slot's optimum, as an unplanned solve would.
-    Capacity copies of one link may both be chosen, so a row can repeat.
-    """
-    at, n, m = int(plan.off[p]), int(plan.rows[p]), int(plan.cols[p])
-    kept = plan.kept[at:at + n * m].reshape(n, m)
-    choice = solve_assignment(
-        WeightMatrix(weights=np.append(cost, 0.0)[kept], feasible=kept < len(cost)),
-        maximize=False)
-    return kept[np.arange(n), choice]
-
-
 def run_rr(estimates: EstimateTable) -> Schedule:
     """Round-robin: balance how often each link is served.
 
@@ -351,18 +323,18 @@ def _greedy_rounds(stops, sat, station, tx_cap, rx_cap, link, bits, pool) -> lis
     return won
 
 
-def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> MinRateProfile:
-    """Rate floors achieved by a schedule: pool bits per usable slot.
+def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> np.ndarray:
+    """Per-link rate floors achieved by a schedule, as the (n_sats,
+    n_stations) array that :func:`run_opportunistic` takes.
 
-    Each link's floor is its pool divided by the satellite's usable-slot
-    count, then scaled by the global normaliser so it is comparable with
-    the opportunistic utilities.
+    Each link's floor is its pool bits per usable slot of its satellite,
+    divided by the table's normaliser (its largest per-slot key bits), the
+    divisor of the opportunistic utilities, so floors and utilities live
+    on one scale.
     """
     tau = estimates.tau()[:, None]
-    norm = estimates.normalizer
-    rates = np.divide(schedule.key_pool, tau, out=np.zeros(schedule.key_pool.shape),
-                      where=tau > 0) / norm
-    return MinRateProfile(rates=rates, normalizer=norm)
+    return np.divide(schedule.key_pool, tau, out=np.zeros(schedule.key_pool.shape),
+                     where=tau > 0) / estimates.normalizer
 
 
 def check_opportunistic(delta: float, max_passes: int) -> None:
@@ -373,15 +345,17 @@ def check_opportunistic(delta: float, max_passes: int) -> None:
         raise ValueError("max_passes must be at least 1")
 
 
-def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
+def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
                       delta: float = 0.01, max_passes: int = 50,
                       tol: float = 1e-4) -> Schedule:
     """Throughput-chasing scheduler with per-link rate floors.
 
     Each slot solves a maximise assignment with weights (1 + lambda) * U,
     where U is the normalised key-bit utility and lambda the link's dual
-    multiplier. Served links relax their multiplier by delta * (U - r),
-    unserved visible links tighten by delta * r, both clamped at zero.
+    multiplier. ``targets`` holds each link's floor r, on the utilities'
+    scale (:func:`derive_min_rates`). Served links relax their multiplier
+    by delta * (U - r), unserved visible links tighten by delta * r, both
+    clamped at zero.
     Passes repeat over the whole horizon until the largest multiplier drift
     across a pass drops below ``tol`` or ``max_passes`` is hit; the last
     pass's decisions are the schedule, those of solving every slot with
@@ -400,7 +374,7 @@ def run_opportunistic(estimates: EstimateTable, targets: MinRateProfile,
 
     # a served row adds -delta * (U - r) to its link's multiplier, an
     # unserved one delta * r, made in r's place; x - y and x + (-y) round alike
-    r = targets.rates.ravel()[link]
+    r = targets.ravel()[link]
     served_step = -(delta * (bits / norm - r))
     r *= delta
     state = _Passes(slot_plan(estimates), link, np.zeros(estimates.n_sats * estimates.n_stations),
@@ -439,15 +413,16 @@ class _Passes:
     (:func:`certify`). A map that fails would have been changed by the tie
     rule, so every decision after it rests on the wrong state. The pass
     then restores the state and served rows of the window's start, replays
-    the certified slots before the failing one, solves that one with
-    :func:`solve_assignment` and opens the next window after it, as long as
-    the run of slots that certified. The served rows are therefore those
-    that solving every slot with :func:`solve_assignment` gives.
+    the certified slots before the failing one, solves that one's cost
+    matrix, gathered as its raw map's was, with :func:`solve_assignment`
+    and opens the next window after it, as long as the run of slots that
+    certified. The served rows are therefore those that solving every slot
+    with :func:`solve_assignment` gives.
     """
 
     def __init__(self, plan: SlotPlan, link: np.ndarray, lam: np.ndarray,
                  served_step: np.ndarray, unserved_step: np.ndarray, cost):
-        self.plan, self.link, self.lam, self.cost = plan, link, lam, cost
+        self.link, self.lam, self.cost = link, lam, cost
         self.served_step, self.unserved_step = served_step, unserved_step
         self.lo, self.hi = plan.lo.tolist(), plan.hi.tolist()
         n, m = plan.rows.tolist(), plan.cols.tolist()
@@ -518,30 +493,40 @@ class _Passes:
     def _redo(self, start, bad, end, lam_start, picked, served) -> None:
         """Take back slots ``[start, end)``, whose map at slot ``bad``
         failed its certificate: restore the links' states, replay the
-        certified slots before ``bad`` and solve ``bad`` exactly."""
+        certified slots before ``bad`` and serve ``bad`` by
+        :func:`solve_assignment` of its kept matrix, solved whole, so that
+        ties are broken under the tolerance of the whole slot's optimum.
+        Its costs are ``inf`` exactly where the plan has no link."""
         self.lam[:] = lam_start
         served[self.lo[start]:self.hi[end - 1]] = False
         for p, rows in zip(range(start, bad), picked):
             self._step(p, rows, served)
-        a, b = self.lo[bad], self.hi[bad]
-        cost = np.empty(b - a)
-        self.cost(self.lam[self.link[a:b]], a, b, cost)
-        self._step(bad, a + _solve_slot(self.plan, bad, cost), served)
+        kept = self.kept[bad]
+        cost = self._costs(bad).take(kept, mode="clip")
+        choice = solve_assignment(WeightMatrix(cost, np.isfinite(cost)), maximize=False)
+        self._step(bad, self.lo[bad] + kept[self.rank[:len(choice)], choice], served)
+
+    def _costs(self, p) -> np.ndarray:
+        """Slot ``p``'s cost per table row, then ``inf`` at the index its
+        kept matrix holds where no link exists."""
+        a, b, cost_of = self.lo[p], self.hi[p], self.cost_of
+        self.cost(self.lam[self.link[a:b]], a, b, cost_of[:b - a])
+        cost_of[b - a] = np.inf
+        return cost_of
 
     def _solve(self, p, costs, maps, served) -> np.ndarray:
         """Serve slot ``p`` by its raw optimal map, keeping a multi-row
         slot's cost matrix and map for the certificate; returns the
-        served table rows."""
-        a, b, kept, cost_of = self.lo[p], self.hi[p], self.kept[p], self.cost_of
-        self.cost(self.lam[self.link[a:b]], a, b, cost_of[:b - a])
-        cost_of[b - a] = np.inf
+        served table rows. Capacity copies of one link may both be
+        chosen, so a row can repeat."""
+        kept, cost_of = self.kept[p], self._costs(p)
         if self.where[p] is None:
             match = optimal_map(cost_of[kept])
         else:
             g, q = self.where[p]
             match = optimal_map(cost_of.take(kept, out=costs[g][q], mode="clip"))
             maps[g][q] = match
-        rows = a + kept[self.rank[:len(match)], match]
+        rows = self.lo[p] + kept[self.rank[:len(match)], match]
         self._step(p, rows, served)
         return rows
 

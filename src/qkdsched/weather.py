@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EstimateTable
+from .channel import EstimateTable, slot_hour
 from .scenario import Scenario
 
 
@@ -33,14 +33,6 @@ class CloudSeries:
 
     date: _dt.date
     hourly: dict
-
-    def cloud_at(self, station_id: int, slot: int, slot_duration_s: float) -> float:
-        """Piecewise-constant lookup, wrapping past the stored day."""
-        series = self.hourly.get(station_id)
-        if series is None:
-            return 0.0
-        hour = int(slot * slot_duration_s // 3600) % 24
-        return float(series[hour])
 
 
 def load_clouds(path, date: _dt.date = None) -> CloudSeries:
@@ -79,16 +71,22 @@ def load_clouds(path, date: _dt.date = None) -> CloudSeries:
 
 
 def cloud_matrix(series: CloudSeries, scenario: Scenario) -> np.ndarray:
-    """Dense (n_stations, n_slots) cloud-cover array for estimate building."""
+    """Dense (n_stations, n_slots) cloud-cover array for estimate building,
+    wrapping past the stored day; a station without a row reads clear sky."""
     time = scenario.time
-    hours = (np.arange(time.slot_count, dtype=np.int64)
-             * time.slot_duration_s // 3600).astype(np.int64) % 24
+    hours = slot_hour(np.arange(time.slot_count), time.slot_duration_s)
     out = np.zeros((scenario.n_stations, time.slot_count))
     for i, st in enumerate(scenario.stations):
         series_g = series.hourly.get(st.station_id)
         if series_g is not None:
             out[i] = series_g[hours]
     return out
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise WeatherError for a threshold :func:`apply_filter` refuses."""
+    if not 0.0 <= threshold <= 1.0:
+        raise WeatherError("filter threshold out of [0, 1]")
 
 
 def apply_filter(estimates: EstimateTable, threshold: float = 0.8) -> EstimateTable:
@@ -99,8 +97,7 @@ def apply_filter(estimates: EstimateTable, threshold: float = 0.8) -> EstimateTa
     itself when every row passes (as in an already filtered dump); the
     input is never changed.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise WeatherError("filter threshold out of [0, 1]")
+    check_threshold(threshold)
     keep = estimates.cloud <= threshold
     if keep.all():
         return estimates

@@ -432,7 +432,7 @@ def reference_phase2_instance(pools, pairs):
         return None
 
     n_y = len(variables)
-    rows, cols, data, b_ub, row_names = [], [], [], [], []
+    rows, cols, data, b_ub = [], [], [], []
     for u in pairs:
         row = len(b_ub)
         rows.append(row); cols.append(n_y); data.append(1.0)
@@ -440,7 +440,6 @@ def reference_phase2_instance(pools, pairs):
             if (a, b) == u:
                 rows.append(row); cols.append(vi); data.append(-1.0)
         b_ub.append(0.0)
-        row_names.append(f"floor_g{u[0]}_g{u[1]}")
     for s in range(n_sats):
         for g in range(n_stations):
             touching = [vi for vi, (vs, a, b) in enumerate(variables)
@@ -451,7 +450,6 @@ def reference_phase2_instance(pools, pairs):
             for vi in touching:
                 rows.append(row); cols.append(vi); data.append(1.0)
             b_ub.append(float(k[s, g]))
-            row_names.append(f"pool_s{s}_g{g}")
 
     objective = np.zeros(n_y + 1)
     objective[-1] = 1.0
@@ -462,8 +460,6 @@ def reference_phase2_instance(pools, pairs):
         upper=np.array([float(min(k[s, a], k[s, b])) for (s, a, b) in variables]
                        + [float(min(pair_cap.values()))]),
         integer=np.array([True] * n_y + [False]),
-        var_names=[f"y_s{s}_g{a}_g{b}" for (s, a, b) in variables] + ["z"],
-        row_names=row_names,
     )
 
 
@@ -854,7 +850,7 @@ def reference_run_opportunistic(estimates, targets, delta=0.01, max_passes=50,
             served_set = set(served)
             for (s, g), bits in view.bits.items():
                 u = bits / norm
-                r = float(targets.rates[s, g])
+                r = float(targets[s, g])
                 if (s, g) in served_set:
                     lam[s, g] = max(0.0, lam[s, g] - delta * (u - r))
                 else:

@@ -194,7 +194,9 @@ def _random_estimates(rng, n_rows, values=None, clouds=None):
     """Table of up to ``n_rows`` rows over 5 satellites and 4 stations with
     unsorted ids, capacities of 1-3, a satellite and a trailing slot with no
     rows; float columns drawn from ``values`` or spread over many decades,
-    and the cloud column from ``clouds`` when given."""
+    and the cloud column from ``clouds`` when given. Without ``values``,
+    key bits are non-negative and cloud cover lies in [0, 1], as the
+    reader requires."""
     n_slots = n_rows // 4 + 3
     keys = rng.choice((n_slots - 1) * 4 * 4, size=min(n_rows, (n_slots - 1) * 16),
                       replace=False)
@@ -206,6 +208,9 @@ def _random_estimates(rng, n_rows, values=None, clouds=None):
         return rng.choice([-1.0, 1.0], len(keys)) * 10.0 ** rng.uniform(-12, 17, len(keys))
 
     floats = {name: column() for name in FLOAT_COLUMNS}
+    if values is None:
+        floats["key_bits"] = np.abs(floats["key_bits"])
+        floats["cloud"] = 10.0 ** rng.uniform(-12, 0, len(keys))
     if clouds is not None:
         floats["cloud"] = rng.choice(np.asarray(clouds, dtype=float), size=len(keys))
     return EstimateTable(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdsched import workers
+import qkdsched.cli as cli
 from qkdsched.channel import read_estimates_csv
 from qkdsched.cli import main
 
@@ -189,6 +189,24 @@ def test_run_rejects_pass_budget_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    (["--clouds", "missing.csv"], "error: io: [Errno 2] No such file or directory: "
+                                  "'missing.csv'\n"),
+    (["--filter-threshold", "80"], "error: weather: filter threshold out of [0, 1]\n"),
+], ids=["missing-clouds", "threshold"])
+def test_bad_clouds_or_threshold_fail_before_the_scan(tmp_path, monkeypatch, capsys,
+                                                      flag, message):
+    scans = []
+    monkeypatch.setattr(cli, "build_visibility", lambda *a: scans.append(a))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(SCENARIOS / "toy_equator.ini"), *flag,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+    assert scans == [] and not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--delta", "0"], ["--max-passes", "0"]])
 def test_run_with_bad_settings_leaves_no_staging(tmp_path, capsys, flag):
     # rr would finish first; the bad opportunistic setting must stop the run
@@ -206,8 +224,6 @@ def test_run_with_bad_settings_leaves_no_staging(tmp_path, capsys, flag):
 def test_failed_run_removes_staging(tmp_path, monkeypatch):
     # an error after staging began (here from the second scheduler) removes
     # the staging tree with the first scheduler's artifacts
-    import qkdsched.cli as cli
-
     def broken(*args, **kwargs):
         raise RuntimeError("solver broke")
 
@@ -240,8 +256,6 @@ def test_failed_swap_keeps_complete_staging(tmp_path, monkeypatch):
 def test_existing_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     # without --force, an existing --out stops the run before the scenario
     # is scanned or the table parsed
-    import qkdsched.cli as cli
-
     def forbidden(*args, **kwargs):
         raise AssertionError("called before the --out check")
 
@@ -259,7 +273,7 @@ def test_existing_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
 @pytest.fixture
 def forked_dump(monkeypatch):
     """Write the estimate dump from a forked child, as on a multi-core host."""
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
 
 
 def _dump_argv(tmp_path, out):
@@ -270,7 +284,7 @@ def _dump_argv(tmp_path, out):
 def test_background_dump_matches_inline(tmp_path, monkeypatch):
     trees = []
     for cpus in (1, 2):
-        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         out = tmp_path / f"out{cpus}"
         assert main(_dump_argv(tmp_path, out)) == 0
         trees.append(_tree(out))
@@ -280,8 +294,6 @@ def test_background_dump_matches_inline(tmp_path, monkeypatch):
 
 
 def test_scheduler_error_stops_background_dump(tmp_path, monkeypatch, forked_dump):
-    import qkdsched.cli as cli
-
     def broken(*args, **kwargs):
         raise RuntimeError("solver broke")
 
@@ -297,14 +309,12 @@ def test_scheduler_error_stops_background_dump(tmp_path, monkeypatch, forked_dum
 def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, cpus):
     # the child's exception reaches the parent, which reports it as the
     # inline writer's would be
-    import qkdsched.cli as cli
-
     def full(table, path, *args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
     out = tmp_path / "out"
     argv = _dump_argv(tmp_path, out)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "write_estimates_csv", full)
     assert main(argv) == 2
     dump = tmp_path / "out.staging" / "estimates.csv"
@@ -316,8 +326,6 @@ def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, cpus):
 
 
 def test_dump_child_that_dies_is_reported(tmp_path, monkeypatch, capsys, forked_dump):
-    import qkdsched.cli as cli
-
     out = tmp_path / "out"
     argv = _dump_argv(tmp_path, out)
     monkeypatch.setattr(cli, "write_estimates_csv", lambda *a, **k: os._exit(3))
@@ -331,8 +339,6 @@ def test_dump_child_that_dies_is_reported(tmp_path, monkeypatch, capsys, forked_
 def test_abort_kills_background_dump(tmp_path, monkeypatch, forked_dump):
     # a BaseException (a budget alarm, Ctrl-C) still kills and reaps the
     # child before the staging tree goes
-    import qkdsched.cli as cli
-
     class Abort(BaseException):
         pass
 
@@ -358,8 +364,6 @@ def test_abort_kills_background_dump(tmp_path, monkeypatch, forked_dump):
 
 @pytest.mark.parametrize("base", ["rr", "greedy"])
 def test_base_schedule_computed_once(tmp_path, monkeypatch, base):
-    import qkdsched.cli as cli
-
     table = _synth(tmp_path, slots=20)
     separate = {}
     for name in (base, "op-" + base):
@@ -450,8 +454,6 @@ def test_run_scenario_with_cloud_filter(tmp_path):
 def test_scan_and_clouds_are_released_before_the_schedulers(tmp_path, monkeypatch):
     # the visibility table and the cloud matrix are unreachable once the
     # estimate table exists, so the schedulers run without them
-    import qkdsched.cli as cli
-
     scene, clouds = _clouded_scenario(tmp_path)
     refs, alive = [], []
     run_greedy = cli.run_greedy
@@ -562,6 +564,7 @@ HEADER = "slot,satellite_id,station_id,transmissivity,successes,qber,key_rate,cl
 ROW = "0,1,1,0.0,3.0,0.0,1.0,0.0,3.0"
 META = ('#{"n_slots": 4, "sat_ids": [1], "station_ids": [1], "transmitters": [1], '
         '"receivers": [1]}')
+BAD_ROW = "key bits must be finite and non-negative, and cloud cover in [0, 1]"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -576,8 +579,15 @@ META = ('#{"n_slots": 4, "sat_ids": [1], "station_ids": [1], "transmitters": [1]
      "one 'receivers' entry per 'station_ids' entry"),
     (META.replace("4", "1.5") + "\n" + HEADER + "\n" + ROW, "bad metadata line"),
     (META + "\n" + HEADER + "\n" + ROW.replace("0,", "4,", 1), r"slots must lie in [0, 4)"),
+    (HEADER + "\n" + ROW + "\n1,1,1,0.0,3.0,0.0,1.0,0.0,-40.0\n", f"line 3: {BAD_ROW}"),
+    (HEADER + "\n" + ROW + "\n1,1,1,0.0,3.0,0.0,1.0,0.0,-inf\n", f"line 3: {BAD_ROW}"),
+    (HEADER + "\n1,1,1,0.0,3.0,0.0,1.0,0.0,inf\n" + ROW, f"line 2: {BAD_ROW}"),
+    (META + "\n" + HEADER + "\n" + ROW + "\n\n1,1,1,0.0,3.0,0.0,1.0,1.5,3.0\n",
+     f"line 5: {BAD_ROW}"),
+    (HEADER + "\n" + ROW + "\n1,1,1,0.0,3.0,0.0,1.0,nan,3.0\n", f"line 3: {BAD_ROW}"),
 ], ids=["header", "header-only", "float-slot", "short-row", "unknown-id",
-        "meta-lengths", "meta-float", "slot-range"])
+        "meta-lengths", "meta-float", "slot-range", "negative-bits", "minus-inf-bits",
+        "inf-bits", "cloud-above-one", "nan-cloud"])
 def test_malformed_table_is_an_input_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -595,14 +605,17 @@ def test_malformed_table_is_an_input_error(tmp_path, capsys, text, message):
 
 
 def test_run_rejects_non_finite_key_bits(tmp_path, capsys):
+    # rr and op-rr once served such rows into pools of -2**63 and -40 bits
     table = tmp_path / "nan.csv"
-    table.write_text(HEADER + "\n" + ROW + "\n0,1,2,0.0,3.0,0.0,1.0,0.0,nan\n")
+    table.write_text(HEADER + "\n" + ROW + "\n0,1,2,0.0,3.0,0.0,1.0,0.0,nan\n"
+                     "1,1,1,0.0,3.0,0.0,1.0,0.0,-40.0\n")
     out = tmp_path / "out"
-    rc = main(["run", "--table", str(table), "--schedulers", "greedy", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: input:") and "non-finite key bits" in err
-    assert not out.exists()
+    for schedulers in ("rr", "op-rr", "greedy"):
+        rc = main(["run", "--table", str(table), "--schedulers", schedulers,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: input: {table}: line 3: {BAD_ROW}\n"
+        assert not out.exists()
 
 
 def test_readme_dump_replays_to_the_same_artifacts(tmp_path):

@@ -8,6 +8,8 @@ library test noticing, so this test installs the tracer and removes it.
 
 from pathlib import Path
 
+from qkdsched import sched
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -20,6 +22,8 @@ def test_benchmark_tracer_wraps_resolve(monkeypatch):
         spans.instrument(tracer)    # getattr raises on any missing name
         wrapped = {(m.__name__, attr): original for m, attr, original in tracer._undo}
         assert ("qkdsched.sched", "solve_assignment") in wrapped
+        # bench/tests builds the matrices that sched's exact re-solve takes
+        assert callable(sched.WeightMatrix)
         assert ("qkdsched.sched", "maximum_bipartite_matching") in wrapped
         # the only LSAP call site, shared by solve_assignment and rr's and op's raw maps
         assert ("qkdsched.assign", "linear_sum_assignment") in wrapped

@@ -148,25 +148,24 @@ def test_derive_min_rates_hand_value():
     schedule = sched.run_greedy(table)
     # greedy serves (0,0) in slots 0 and 1, (0,1) in slot 2
     assert schedule.key_pool.tolist() == [[21, 4]]
-    prof = sched.derive_min_rates(schedule, table)
+    rates = sched.derive_min_rates(schedule, table)
     # tau = 3 usable slots, normalizer = 10.5
-    assert prof.normalizer == 10.5
-    assert prof.rates[0, 0] == pytest.approx(21 / 3 / 10.5)
-    assert prof.rates[0, 1] == pytest.approx(4 / 3 / 10.5)
+    assert rates.shape == (1, 2)
+    assert rates[0, 0] == pytest.approx(21 / 3 / 10.5)
+    assert rates[0, 1] == pytest.approx(4 / 3 / 10.5)
 
 
 def test_derive_min_rates_zero_tau_guard():
     table = make_table(3, 2, 1, [(0, 0, 0, 2.0)])
     schedule = sched.run_greedy(table)
-    prof = sched.derive_min_rates(schedule, table)
-    assert prof.rates[1, 0] == 0.0
+    assert sched.derive_min_rates(schedule, table)[1, 0] == 0.0
 
 
 # ---------------------------------------------------------------- opportunistic
 
 def test_opportunistic_zero_targets_pure_max():
     table = _full_table(5, 2, 2, lambda t, s, g: 1.0 + s + 2 * g)
-    targets = sched.MinRateProfile(rates=np.zeros((2, 2)), normalizer=table.normalizer)
+    targets = np.zeros((2, 2))
     out = sched.run_opportunistic(table, targets)
     check_schedule(out, table)
     # with zero floors multipliers never move: converges on the first pass
@@ -186,8 +185,7 @@ def test_opportunistic_multiplier_drags_weak_link():
     fraction r / U_B = 0.4 of slots, so its empirical rate meets the floor.
     """
     table = _full_table(1500, 1, 2, lambda t, s, g: 1.0 if g == 0 else 0.5)
-    targets = sched.MinRateProfile(rates=np.full((1, 2), 0.2),
-                                   normalizer=table.normalizer)
+    targets = np.full((1, 2), 0.2)
     out = sched.run_opportunistic(table, targets, max_passes=8)
     check_schedule(out, table)
     share_b = np.mean(out.station == 1)
@@ -201,8 +199,7 @@ def test_opportunistic_invisible_links_never_update():
     table = _full_table(50, 1, 2, lambda t, s, g: 1.0)
     wide = make_table(50, 2, 2,
                       [(t, 0, g, 1.0) for t in range(50) for g in range(2)])
-    targets = sched.MinRateProfile(rates=np.full((2, 2), 0.5),
-                                   normalizer=wide.normalizer)
+    targets = np.full((2, 2), 0.5)
     out = sched.run_opportunistic(wide, targets, max_passes=3)
     check_schedule(out, wide)
     assert np.all(out.sat == 0)
@@ -211,8 +208,7 @@ def test_opportunistic_invisible_links_never_update():
 
 def test_opportunistic_nonconvergence_reported_not_fatal(rng):
     table = random_table(rng, n_slots=40, n_sats=2, n_stations=3)
-    targets = sched.MinRateProfile(rates=np.full((2, 3), 0.9),
-                                   normalizer=table.normalizer)
+    targets = np.full((2, 3), 0.9)
     out = sched.run_opportunistic(table, targets, max_passes=3, tol=1e-12)
     check_schedule(out, table)
     assert out.metadata["converged"] is False
@@ -378,7 +374,7 @@ def test_opportunistic_work_stays_linear_when_certificates_fail(monkeypatch):
     rows = [(t, s, g, float(rng.integers(0, 4))) for t in range(400)
             for s in range(3) for g in range(4) if rng.random() < 0.6]
     table = make_table(400, 3, 4, rows)
-    targets = sched.MinRateProfile(rates=np.zeros((3, 4)), normalizer=table.normalizer)
+    targets = np.zeros((3, 4))
     solves, fallbacks = [], []
     solve = sched._Passes._solve
     monkeypatch.setattr(sched._Passes, "_solve",
@@ -426,8 +422,9 @@ def _slot_case(rng):
 
 
 def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
-    """Solving a slot from its plan serves the links the unplanned
-    whole-slot re-solve serves.
+    """Solving a slot's kept matrix exactly, as a pass does where a raw map
+    fails its certificate, serves the links the unplanned whole-slot
+    re-solve serves.
 
     The cases cover Hall-failing slots, slots with several components
     (lone stations next to multi-row ones), capacities of two, integer
@@ -443,14 +440,21 @@ def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
         table, weight = _slot_case(rng)
         plan = sched.slot_plan(table)
         two_capacity += int(table.transmitters.max() == 2 or table.receivers.max() == 2)
-        for p, (a, b) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
-            by_link = {(int(s), int(g)): w for s, g, w in
-                       zip(table.sat[a:b], table.station[a:b], weight[a:b])}
-            view = _ReferenceSlotView(table, np.arange(a, b))
-            for maximize in (True, False):
-                # maximising the weights is minimising their negation
-                cost = -weight[a:b] if maximize else weight[a:b]
-                rows = a + sched._solve_slot(plan, p, cost)
+        zeros = np.zeros(len(table))
+        for maximize in (True, False):
+            # maximising the weights is minimising their negation
+            cost = -weight if maximize else weight
+            passes = sched._Passes(plan, sched._links(table),
+                                   np.zeros(table.n_sats * table.n_stations), zeros, zeros,
+                                   lambda lam, a, b, out: np.copyto(out, cost[a:b]))
+            for p, (a, b) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
+                by_link = {(int(s), int(g)): w for s, g, w in
+                           zip(table.sat[a:b], table.station[a:b], weight[a:b])}
+                view = _ReferenceSlotView(table, np.arange(a, b))
+                # slot p alone, as the pass solves a slot whose map failed
+                served = np.zeros(len(table), dtype=bool)
+                passes._redo(p, p, p + 1, passes.lam.copy(), [], served)
+                rows = np.flatnonzero(served)
                 got = sorted(set(zip(table.sat[rows].tolist(), table.station[rows].tolist())))
                 want = sorted(_reference_solve_slot(view, lambda s, g: by_link[(s, g)],
                                                     maximize))
@@ -506,7 +510,7 @@ def test_greedy_on_a_table_the_filter_empties():
     table.cloud[:] = 0.9
     empty = apply_filter(table, 0.8)
     assert len(empty) == 0
-    targets = sched.MinRateProfile(rates=np.zeros((2, 2)), normalizer=1.0)
+    targets = np.zeros((2, 2))
     for run, reference in (
             (sched.run_rr, reference_run_rr),
             (sched.run_greedy, reference_run_greedy_per_slot),

@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,19 +55,20 @@ def test_load_clouds_validation(tmp_path):
         weather.load_clouds(path)
 
 
-def test_cloud_at_piecewise_constant(tmp_path):
+def test_cloud_matrix_piecewise_constant(tmp_path, toy_scenario):
     values = [round(h / 24.0, 3) for h in range(24)]
-    path = _clouds_csv(tmp_path, [_row(7, "2022-03-15", values)])
-    series = weather.load_clouds(path)
-    # 600 s slots: six per hour
-    assert series.cloud_at(7, 0, 600.0) == values[0]
-    assert series.cloud_at(7, 5, 600.0) == values[0]
-    assert series.cloud_at(7, 6, 600.0) == values[1]
-    assert series.cloud_at(7, 143, 600.0) == values[23]
+    series = weather.load_clouds(_clouds_csv(tmp_path, [_row(1, "2022-03-15", values)]))
+    station = toy_scenario.stations[0]
+    # 600 s slots: six per hour, so slot 144 starts the next day
+    scenario = replace(toy_scenario, stations=(station, replace(station, station_id=99)),
+                       time=replace(toy_scenario.time, slot_duration_s=600.0, slot_count=145))
+    matrix = weather.cloud_matrix(series, scenario)
+    assert matrix.shape == (2, 145)
+    assert matrix[0, [0, 5, 6, 143]].tolist() == [values[0], values[0], values[1], values[23]]
     # wraps past the stored day
-    assert series.cloud_at(7, 144, 600.0) == values[0]
-    # unknown station reads clear sky
-    assert series.cloud_at(99, 0, 600.0) == 0.0
+    assert matrix[0, 144] == values[0]
+    # a station without a row reads clear sky
+    assert not matrix[1].any()
 
 
 def test_apply_filter_strictness():
