@@ -499,12 +499,11 @@ class _Passes:
         Its costs are ``inf`` exactly where the plan has no link."""
         self.lam[:] = lam_start
         served[self.lo[start]:self.hi[end - 1]] = False
-        for p, rows in zip(range(start, bad), picked):
-            self._step(p, rows, served)
-        kept = self.kept[bad]
-        cost = self._costs(bad).take(kept, mode="clip")
-        choice = solve_assignment(WeightMatrix(cost, np.isfinite(cost)), maximize=False)
-        self._step(bad, self.lo[bad] + kept[self.rank[:len(choice)], choice], served)
+        for p, match in zip(range(start, bad), picked):
+            self._step(p, match, served)
+        cost = self._costs(bad).take(self.kept[bad], mode="clip")
+        match = solve_assignment(WeightMatrix(cost, np.isfinite(cost)), maximize=False)
+        self._step(bad, match, served)
 
     def _costs(self, p) -> np.ndarray:
         """Slot ``p``'s cost per table row, then ``inf`` at the index its
@@ -516,9 +515,7 @@ class _Passes:
 
     def _solve(self, p, costs, maps, served) -> np.ndarray:
         """Serve slot ``p`` by its raw optimal map, keeping a multi-row
-        slot's cost matrix and map for the certificate; returns the
-        served table rows. Capacity copies of one link may both be
-        chosen, so a row can repeat."""
+        slot's cost matrix and map for the certificate; returns the map."""
         kept, cost_of = self.kept[p], self._costs(p)
         if self.where[p] is None:
             match = optimal_map(cost_of[kept])
@@ -526,14 +523,15 @@ class _Passes:
             g, q = self.where[p]
             match = optimal_map(cost_of.take(kept, out=costs[g][q], mode="clip"))
             maps[g][q] = match
-        rows = self.lo[p] + kept[self.rank[:len(match)], match]
-        self._step(p, rows, served)
-        return rows
+        self._step(p, match, served)
+        return match
 
-    def _step(self, p, rows, served) -> None:
-        """Mark slot ``p``'s served rows and move its links' states."""
+    def _step(self, p, match, served) -> None:
+        """Serve the table rows that ``match``, a map of slot ``p``'s kept
+        matrix, picks, and move its links' states. Capacity copies of one
+        link may both be picked, so a row can repeat."""
         a, b = self.lo[p], self.hi[p]
-        served[rows] = True
+        served[a + self.kept[p][self.rank[:len(match)], match]] = True
         l = self.link[a:b]
         step = np.where(served[a:b], self.served_step[a:b], self.unserved_step[a:b])
         self.lam[l] = np.maximum(0.0, self.lam[l] + step)
