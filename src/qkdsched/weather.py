@@ -55,7 +55,7 @@ def load_clouds(path, date: _dt.date = None) -> CloudSeries:
             if sid in day:
                 raise WeatherError(f"{path}: duplicate station {sid} for {row_date}")
             values = np.array([float(row[c]) for c in hour_cols])
-            if np.any((values < 0.0) | (values > 1.0)):
+            if not np.all((values >= 0.0) & (values <= 1.0)):   # NaN included
                 raise WeatherError(f"{path}: station {sid} cloud cover out of [0, 1]")
             day[sid] = values
     if date is not None:

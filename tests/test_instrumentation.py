@@ -22,7 +22,7 @@ def test_benchmark_tracer_wraps_resolve(monkeypatch):
         spans.instrument(tracer)    # getattr raises on any missing name
         wrapped = {(m.__name__, attr): original for m, attr, original in tracer._undo}
         assert ("qkdsched.sched", "solve_assignment") in wrapped
-        # bench/tests builds the matrices that sched's exact re-solve takes
+        # bench/tests calls sched.WeightMatrix by name, as sched's exact re-solve does
         assert callable(sched.WeightMatrix)
         assert ("qkdsched.sched", "maximum_bipartite_matching") in wrapped
         # the only LSAP call site, shared by solve_assignment and rr's and op's raw maps

@@ -45,9 +45,10 @@ def test_load_clouds_validation(tmp_path):
     with pytest.raises(weather.WeatherError, match="columns"):
         weather.load_clouds(bad_cols)
 
-    path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [1.5] * 24)])
-    with pytest.raises(weather.WeatherError, match=r"\[0, 1\]"):
-        weather.load_clouds(path)
+    for bad in (1.5, "nan"):
+        path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [bad] * 24)])
+        with pytest.raises(weather.WeatherError, match=r"\[0, 1\]"):
+            weather.load_clouds(path)
 
     path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [0.1] * 24),
                                   _row(1, "2022-03-15", [0.2] * 24)])
