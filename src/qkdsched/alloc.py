@@ -55,7 +55,6 @@ class MilpInstance:
 class MilpResult:
     status: str                  # optimal | budget_exceeded | infeasible
     objective: float = None
-    bound: float = None
     gap: float = None
     values: np.ndarray = None
     nodes: int = 0
@@ -70,7 +69,7 @@ def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResul
     incumbent the gap is infinite. Integer variables come back rounded.
     """
     if max_nodes is not None and max_nodes <= 0:
-        return MilpResult(status="budget_exceeded", bound=np.inf, gap=np.inf)
+        return MilpResult(status="budget_exceeded", gap=np.inf)
     options = {"mip_rel_gap": 0.0}
     if max_nodes is not None:
         options["node_limit"] = int(max_nodes)
@@ -84,16 +83,15 @@ def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResul
         return MilpResult(status="infeasible", nodes=nodes)
     if res.status not in (0, 1):
         raise RuntimeError(f"MILP solve failed: {res.message}")
-    bound = -res.mip_dual_bound if res.mip_dual_bound is not None else np.inf
     if res.x is None:
-        return MilpResult(status="budget_exceeded", bound=bound, gap=np.inf,
-                          nodes=nodes)
+        return MilpResult(status="budget_exceeded", gap=np.inf, nodes=nodes)
     values = np.where(instance.integer, np.round(res.x), res.x)
     objective = -res.fun
     if res.status == 0:
-        return MilpResult(status="optimal", objective=objective, bound=objective,
-                          gap=0.0, values=values, nodes=nodes)
-    return MilpResult(status="budget_exceeded", objective=objective, bound=bound,
+        return MilpResult(status="optimal", objective=objective, gap=0.0,
+                          values=values, nodes=nodes)
+    bound = -res.mip_dual_bound if res.mip_dual_bound is not None else np.inf
+    return MilpResult(status="budget_exceeded", objective=objective,
                       gap=bound - objective, values=values, nodes=nodes)
 
 

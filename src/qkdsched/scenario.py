@@ -223,37 +223,24 @@ def _require(cfg: configparser.ConfigParser, section: str, key: str) -> str:
     return cfg.get(section, key)
 
 
-def _read_atmosphere_csv(path: Path) -> dict:
-    """station_id -> {season -> zenith transmissivity}."""
+def _read_side_csv(path: Path, key_column: str, parse, allowed, complaint: str,
+                   value_column: str) -> dict:
+    """station_id -> {key -> value} of a per-station side table. Each row's
+    key is ``parse`` of its ``key_column`` and must be in ``allowed``, or
+    ``complaint.format(key)`` names the row's fault; it is parsed before
+    the row's station_id."""
     table: dict = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        need = {"station_id", "season", "zenith_transmissivity"}
+        need = {"station_id", key_column, value_column}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ScenarioError(f"{path}: expected columns {sorted(need)}")
         for row in reader:
-            season = row["season"].strip().lower()
-            if season not in SEASONS:
-                raise ScenarioError(f"{path}: unknown season '{season}'")
+            key = parse(row[key_column])
+            if key not in allowed:
+                raise ScenarioError(f"{path}: {complaint.format(key)}")
             sid = int(row["station_id"])
-            table.setdefault(sid, {})[season] = float(row["zenith_transmissivity"])
-    return table
-
-
-def _read_noise_csv(path: Path) -> dict:
-    """station_id -> {bucket hour -> background detection probability}."""
-    table: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"station_id", "hour_bucket", "background_prob"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ScenarioError(f"{path}: expected columns {sorted(need)}")
-        for row in reader:
-            bucket = int(row["hour_bucket"])
-            if bucket not in NOISE_BUCKETS:
-                raise ScenarioError(f"{path}: hour_bucket {bucket} not in {NOISE_BUCKETS}")
-            sid = int(row["station_id"])
-            table.setdefault(sid, {})[bucket] = float(row["background_prob"])
+            table.setdefault(sid, {})[key] = float(row[value_column])
     return table
 
 
@@ -312,8 +299,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"atmosphere_csv not found: {atmo_path}")
     if not noise_path.exists():
         raise ScenarioError(f"noise_csv not found: {noise_path}")
-    atmo = _read_atmosphere_csv(atmo_path)
-    noise = _read_noise_csv(noise_path)
+    # station_id -> {season -> zenith transmissivity}
+    atmo = _read_side_csv(atmo_path, "season", lambda text: text.strip().lower(), SEASONS,
+                          "unknown season '{}'", "zenith_transmissivity")
+    # station_id -> {bucket hour -> background detection probability}
+    noise = _read_side_csv(noise_path, "hour_bucket", int, NOISE_BUCKETS,
+                           f"hour_bucket {{}} not in {NOISE_BUCKETS}", "background_prob")
 
     stations = []
     for key, raw in cfg.items("ground_stations"):

@@ -25,7 +25,7 @@ those of solving every slot with :func:`solve_assignment`. Round-robin's
 integer counters tie often: 275 of the 1800 slots of the seed-1
 benchmark slice of ``global_a500`` fail the certificate. Known
 limitation: in a slot that violates Hall's condition, the plan keeps
-whichever rows ``maximum_bipartite_matching`` matches, whatever their
+whichever rows one maximum matching of all slots covers, whatever their
 costs.
 
 Greedy solves no assignment. One sort per block of ``_BLOCK`` slots puts
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .assign import WeightMatrix, certify, optimal_map, solve_assignment
@@ -87,6 +87,14 @@ class Schedule:
 def _links(estimates: EstimateTable) -> np.ndarray:
     """Flat link index ``sat * n_stations + station`` of every row."""
     return estimates.sat * estimates.n_stations + estimates.station
+
+
+def _check_key_bits(estimates: EstimateTable) -> None:
+    """Raise ValueError unless every key bit is finite and non-negative:
+    pools are floored into int64, and greedy orders claimants by pool."""
+    bits = estimates.key_bits
+    if not np.all((bits >= 0) & (bits < np.inf)):
+        raise ValueError("non-finite or negative key bits in the estimate table")
 
 
 @dataclass
@@ -169,28 +177,18 @@ def _cells(estimates: EstimateTable, lo: np.ndarray, hi: np.ndarray) -> tuple:
 
 def _kept_rows(r: np.ndarray, c: np.ndarray, n_rows: np.ndarray,
                n_cols: np.ndarray) -> np.ndarray:
-    """Which matrix rows each slot keeps: all of them, or where Hall's
-    condition fails, the rows its own maximum matching covers.
+    """Which matrix rows each slot keeps: those that one maximum matching of
+    the block-diagonal graph of all slots covers, so all of a slot's rows
+    where Hall's condition holds.
 
-    One matching of the block-diagonal graph of all slots sizes every
-    slot's maximum matching; only a slot short of rows runs its own, on
-    the same sorted CSR structure it would get from its dense matrix.
+    Hopcroft-Karp's greedy pass and shortest augmenting paths never cross
+    slots, and a slot is untouched by phases shorter than its own paths, so
+    each slot is matched as its own sorted CSR alone would be.
     """
-    row_base, col_base = _exclusive_cumsum(n_rows), _exclusive_cumsum(n_cols)
     graph = csr_matrix((np.ones(len(r), dtype=np.int8), (r, c)),
-                       shape=(row_base[-1], col_base[-1]))
+                       shape=(int(n_rows.sum()), int(n_cols.sum())))
     graph.sort_indices()
-    row_slot = np.repeat(np.arange(len(n_rows)), n_rows)
-    covered = csgraph.maximum_bipartite_matching(graph, perm_type="column") >= 0
-    matched = np.bincount(row_slot, weights=covered, minlength=len(n_rows))
-    kept = np.ones(row_base[-1], dtype=bool)
-    for p in np.flatnonzero(matched < n_rows).tolist():
-        a, b = row_base[p], row_base[p + 1]
-        start, stop = graph.indptr[a], graph.indptr[b]
-        own = csr_matrix((graph.data[start:stop], graph.indices[start:stop] - col_base[p],
-                          graph.indptr[a:b + 1] - start), shape=(n_rows[p], n_cols[p]))
-        kept[a:b] = maximum_bipartite_matching(own, perm_type="column") >= 0
-    return kept
+    return maximum_bipartite_matching(graph, perm_type="column") >= 0
 
 
 def _build_plan(estimates: EstimateTable) -> SlotPlan:
@@ -223,6 +221,7 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     rotates service across links regardless of their quality, and counts
     each service of a link in a slot of several rows.
     """
+    _check_key_bits(estimates)
     link = _links(estimates)
     plan = slot_plan(estimates)
     single = plan.lo[plan.hi - plan.lo == 1]
@@ -253,12 +252,10 @@ def run_greedy(estimates: EstimateTable) -> Schedule:
     bid order (slot, station, key bits descending, satellite), and a kernel
     over Python lists runs the block's rounds. Sorting by block gives the
     order one whole-table sort would, since slots lead it, but each sort
-    stays in cache; on a full global day that is four times faster. Key
-    bits must be finite, so that the pools order the claimants totally.
+    stays in cache; on a full global day that is four times faster.
     """
+    _check_key_bits(estimates)
     bits = estimates.key_bits
-    if not np.all(np.isfinite(bits)):
-        raise ValueError("non-finite key bits in the estimate table")
     link = _links(estimates)
     lo, hi = estimates.slot_spans()
     pool = [0.0] * (estimates.n_sats * estimates.n_stations)
@@ -362,6 +359,7 @@ def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
     :func:`solve_assignment` (:class:`_Passes`).
     """
     check_opportunistic(delta, max_passes)
+    _check_key_bits(estimates)
     link = _links(estimates)
     bits, norm = estimates.key_bits, estimates.normalizer
 

@@ -605,7 +605,7 @@ def test_malformed_table_is_an_input_error(tmp_path, capsys, text, message):
 
 
 def test_run_rejects_non_finite_key_bits(tmp_path, capsys):
-    # rr and op-rr check no key bits themselves, so the reader must refuse them
+    # the reader refuses them, naming the line, before any scheduler's own check
     table = tmp_path / "nan.csv"
     table.write_text(HEADER + "\n" + ROW + "\n0,1,2,0.0,3.0,0.0,1.0,0.0,nan\n"
                      "1,1,1,0.0,3.0,0.0,1.0,0.0,-40.0\n")

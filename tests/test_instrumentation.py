@@ -9,6 +9,7 @@ library test noticing, so this test installs the tracer and removes it.
 from pathlib import Path
 
 from qkdsched import sched
+from conftest import make_table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,3 +35,26 @@ def test_benchmark_tracer_wraps_resolve(monkeypatch):
         tracer.unwrap_all()
     for module, attr, original in undo:
         assert getattr(module, attr) is original
+
+
+def test_slot_plan_makes_one_traced_matching(monkeypatch):
+    # sched.fallback_slots counts these calls: one per plan built, however
+    # many of its slots are Hall-short
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    # slots 0 and 1 are Hall-short (stations 1 and 2 see only satellite 0),
+    # slot 2 is not
+    short = [(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
+    rows = [(t, s, g, b) for t in (0, 1) for s, g, b in short]
+    rows += [(2, 0, 0, 1.0), (2, 1, 1, 1.0)]
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        for built in (1, 2):
+            table = make_table(3, 3, 3, rows)
+            sched.slot_plan(table)
+            sched.slot_plan(table)    # cached: no second matching
+            assert spans.aggregate(tracer.spans)["assign.matching"]["calls"] == built
+    finally:
+        tracer.unwrap_all()

@@ -124,13 +124,18 @@ def test_greedy_equal_pools_go_to_the_lower_station(banked, winner):
     assert slot_2 == ([(0, 0), (1, 1)] if winner == 0 else [(0, 1)])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -40.0])
 def test_greedy_rejects_non_finite_key_bits(bad):
-    # a NaN pool has no place in the claimants' (pool, station) order
+    """Every scheduler refuses a library-built table with a non-finite or
+    negative key bit: a NaN pool has no place in greedy's (pool, station)
+    order, and rr and op would floor it into a pool of -2**63 or -40."""
     table = make_table(2, 1, 2, [(0, 0, 0, 1.0), (0, 0, 1, 2.0), (1, 0, 0, 3.0)])
     table.key_bits[1] = bad
-    with pytest.raises(ValueError, match="non-finite key bits"):
-        sched.run_greedy(table)
+    targets = np.zeros((table.n_sats, table.n_stations))
+    for run in (sched.run_greedy, sched.run_rr,
+                lambda t: sched.run_opportunistic(t, targets)):
+        with pytest.raises(ValueError, match="non-finite or negative key bits"):
+            run(table)
 
 
 def test_greedy_respects_transmitter_capacity():
@@ -238,6 +243,51 @@ def test_hall_violation_falls_back_to_max_matching():
     assert np.array_equal(out.station, out2.station)
 
 
+def _hall_short_slots(table) -> int:
+    """Slots whose plan keeps fewer rows than the row side's capacity
+    copies: stations' copies, or satellites' where they are strictly fewer."""
+    plan = sched.slot_plan(table)
+    short = 0
+    for a, b, kept in zip(plan.lo.tolist(), plan.hi.tolist(), plan.rows.tolist()):
+        sats = int(table.transmitters[np.unique(table.sat[a:b])].sum())
+        stations = int(table.receivers[np.unique(table.station[a:b])].sum())
+        short += kept < min(sats, stations)
+    return short
+
+
+def test_kept_rows_match_each_slots_own_matching(rng):
+    """The one matching of all slots keeps, in every slot, the rows that a
+    maximum matching of that slot's own sorted CSR graph covers."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    short = three = 0
+    for trial in range(60):
+        n_sats, n_stations = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        density = float(rng.uniform(0.1, 0.5))
+        rows = [(t, s, g, 1.0) for t in range(15) for s in range(n_sats)
+                for g in range(n_stations) if rng.random() < density]
+        table = make_table(15, n_sats, n_stations, rows or [(0, 0, 0, 1.0)],
+                           transmitters=rng.integers(1, 4, n_sats),
+                           receivers=rng.integers(1, 4, n_stations))
+        three += int(max(table.transmitters.max(), table.receivers.max()) == 3)
+        lo, hi = table.slot_spans()
+        r, c, _, n_rows, n_cols = sched._cells(table, lo, hi)
+        kept = sched._kept_rows(r, c, n_rows, n_cols)
+        row_base = np.concatenate(([0], np.cumsum(n_rows)))
+        col_base = np.concatenate(([0], np.cumsum(n_cols)))
+        for p in range(len(lo)):
+            mine = (r >= row_base[p]) & (r < row_base[p + 1])
+            own = csr_matrix((np.ones(int(mine.sum()), dtype=np.int8),
+                              (r[mine] - row_base[p], c[mine] - col_base[p])),
+                             shape=(n_rows[p], n_cols[p]))
+            own.sort_indices()
+            want = maximum_bipartite_matching(own, perm_type="column") >= 0
+            assert np.array_equal(kept[row_base[p]:row_base[p + 1]], want), (trial, p)
+        short += _hall_short_slots(table)
+    assert short and three
+
+
 def test_receiver_capacity_two_links_same_slot():
     rows = [(0, 0, 0, 1.0), (0, 1, 0, 2.0)]
     table = make_table(1, 2, 1, rows, receivers=[2])
@@ -296,20 +346,17 @@ def _assert_same_schedule(got, want):
     assert got.metadata == want.metadata
 
 
-def test_schedulers_match_reference(rng, monkeypatch):
+def test_schedulers_match_reference(rng):
     """The mask schedulers serve exactly the rows the dict-based ones did.
 
     Tables mix capacities of one and two, rounded key bits (ties and
-    zero-bit rows) and sparse visibility; the run must hit the Hall
-    fallback and serve zero-bit links for the comparison to cover them.
+    zero-bit rows) and sparse visibility; the tables must hold Hall-short
+    slots and the run serve zero-bit links for the comparison to cover them.
     """
-    fallbacks = []
-    matching = sched.maximum_bipartite_matching
-    monkeypatch.setattr(sched, "maximum_bipartite_matching",
-                        lambda *a, **k: fallbacks.append(1) or matching(*a, **k))
-    zero_bit_served = two_capacity = 0
+    hall_short = zero_bit_served = two_capacity = 0
     for trial in range(40):
         table = _reference_case(rng, rounded=trial % 4 != 3)
+        hall_short += _hall_short_slots(table)
         two_capacity += int(table.transmitters.max() == 2 and table.receivers.max() == 2)
         for run, reference in ((sched.run_rr, reference_run_rr),
                                (sched.run_greedy, reference_run_greedy)):
@@ -320,7 +367,7 @@ def test_schedulers_match_reference(rng, monkeypatch):
             _assert_same_schedule(
                 sched.run_opportunistic(table, targets, delta=0.05, max_passes=4),
                 reference_run_opportunistic(table, targets, delta=0.05, max_passes=4))
-    assert fallbacks and zero_bit_served and two_capacity
+    assert hall_short and zero_bit_served and two_capacity
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -421,7 +468,7 @@ def _slot_case(rng):
     return table, weight
 
 
-def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
+def test_planned_slot_solve_matches_whole_slot_reference(rng):
     """Solving a slot's kept matrix exactly, as a pass does where a raw map
     fails its certificate, serves the links the unplanned whole-slot
     re-solve serves.
@@ -431,14 +478,11 @@ def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
     ties, and near-ties that only the whole slot's tolerance treats as
     ties.
     """
-    hall = []
-    matching = sched.maximum_bipartite_matching
-    monkeypatch.setattr(sched, "maximum_bipartite_matching",
-                        lambda *a, **k: hall.append(1) or matching(*a, **k))
-    two_capacity = 0
+    hall_short = two_capacity = 0
     for trial in range(150):
         table, weight = _slot_case(rng)
         plan = sched.slot_plan(table)
+        hall_short += _hall_short_slots(table)
         two_capacity += int(table.transmitters.max() == 2 or table.receivers.max() == 2)
         zeros = np.zeros(len(table))
         for maximize in (True, False):
@@ -459,7 +503,7 @@ def test_planned_slot_solve_matches_whole_slot_reference(rng, monkeypatch):
                 want = sorted(_reference_solve_slot(view, lambda s, g: by_link[(s, g)],
                                                     maximize))
                 assert got == want, (trial, a, maximize)
-    assert hall and two_capacity
+    assert hall_short and two_capacity
 
 
 def _greedy_case(rng, n_sats, n_stations, density, tied):
