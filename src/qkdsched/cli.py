@@ -162,6 +162,8 @@ def _cmd_run(args) -> int:
         if name not in SCHEDULERS:
             raise CliError("cli", f"unknown scheduler '{name}' "
                                   f"(choose from {', '.join(SCHEDULERS)})")
+        if names.count(name) > 1:
+            raise CliError("cli", f"scheduler '{name}' requested twice")
     if args.table and args.clouds:
         raise CliError("cli", "--clouds needs --scenario; tables carry their "
                               "own cloud column")
@@ -349,6 +351,10 @@ def _base_schedule(name, table, bases):
 # ------------------------------------------------------------------- synth
 
 def _cmd_synth(args) -> int:
+    for flag, size in (("--sats", args.sats), ("--stations", args.stations),
+                       ("--slots", args.slots)):
+        if size < 1:
+            raise CliError("synth", f"{flag} must be at least 1")
     if not (0.0 < args.density <= 1.0):
         raise CliError("synth", "density must be in (0, 1]")
     if not (0.0 <= args.qber_low <= args.qber_high <= 0.5):

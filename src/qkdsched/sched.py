@@ -16,12 +16,14 @@ Round-robin and the opportunistic scheduler run one pass engine
 costs from its links' service counters or multipliers. What does not
 depend on the costs is planned once per table (:func:`slot_plan`): each
 slot's capacity-copy matrix, cut down to the rows kept where Hall's
-condition fails and the columns they reach. A pass gathers each slot's
-cost matrix from its costs once, serves the slot by the matrix's raw
-optimal map (:func:`optimal_map`, one LSAP call), certifies the maps a
-window of slots at a time (:func:`certify`) and hands the matrix of a
-slot whose map fails to :func:`solve_assignment`, so its decisions are
-those of solving every slot with :func:`solve_assignment`. Round-robin's
+condition fails and the columns they reach. A pass is one loop over
+windows of slots: it gathers each slot's cost matrix from its costs,
+serves the slot by the matrix's raw optimal map (:func:`optimal_map`,
+one LSAP call) and groups the matrix and map by shape; at the window's
+end one :func:`certify` call per shape checks the tie rule, and the
+first slot whose map fails is solved with :func:`solve_assignment`, so
+the decisions are those of solving every slot with
+:func:`solve_assignment`. Round-robin's
 integer counters tie often: 275 of the 1800 slots of the seed-1
 benchmark slice of ``global_a500`` fail the certificate. Known
 limitation: in a slot that violates Hall's condition, the plan keeps
@@ -142,8 +144,7 @@ def _copies(slot: np.ndarray, ids: np.ndarray, caps: np.ndarray, n_slots: int) -
     its slot, copies numbered in id order, and each slot's copy count."""
     keys, inverse = np.unique(slot * len(caps) + ids, return_inverse=True)
     cap, key_slot = caps[keys % len(caps)], keys // len(caps)
-    before = np.cumsum(cap) - cap
-    first = before - before[np.searchsorted(key_slot, key_slot)]
+    first = _ranks(key_slot, cap)
     count = np.bincount(key_slot, weights=cap, minlength=n_slots).astype(np.int64)
     return first[inverse], count
 
@@ -336,8 +337,8 @@ def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> np.ndarray
 
 def check_opportunistic(delta: float, max_passes: int) -> None:
     """Raise ValueError for settings :func:`run_opportunistic` refuses."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if max_passes < 1:
         raise ValueError("max_passes must be at least 1")
 
@@ -394,7 +395,8 @@ def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
     })
 
 
-# most slots whose maps a pass certifies together; bounds the matrices it holds
+# most slots whose maps a pass certifies together; windows never cross a
+# multiple of it, so it bounds the matrices a pass holds
 _WINDOW = 1024
 
 
@@ -405,17 +407,15 @@ class _Passes:
     state per link; after each slot, each of its rows moves its link's
     state by its ``served_step`` or ``unserved_step``, clamped at zero.
 
-    A pass serves each slot by its raw optimal map and checks the tie rule
-    once per window of up to ``_WINDOW`` slots: the maps of the window's
-    slots with one kept-matrix shape are certified together
-    (:func:`certify`). A map that fails would have been changed by the tie
-    rule, so every decision after it rests on the wrong state. The pass
-    then restores the state and served rows of the window's start, replays
-    the certified slots before the failing one, solves that one's cost
-    matrix, gathered as its raw map's was, with :func:`solve_assignment`
-    and opens the next window after it, as long as the run of slots that
-    certified. The served rows are therefore those that solving every slot
-    with :func:`solve_assignment` gives.
+    A pass serves the slots of a window ``[start, end)`` by their raw
+    optimal maps, keeping each multi-row slot's cost matrix and map by the
+    matrix's shape, and at the window's end certifies each shape's maps
+    together (:func:`certify`). A map that fails would have been changed
+    by the tie rule, so every decision after it rests on the wrong state:
+    :meth:`_redo` takes the window back, replays the slots before the
+    first failing one and solves that one with :func:`solve_assignment`.
+    The served rows are therefore those that solving every slot with
+    :func:`solve_assignment` gives.
     """
 
     def __init__(self, plan: SlotPlan, link: np.ndarray, lam: np.ndarray,
@@ -423,26 +423,11 @@ class _Passes:
         self.link, self.lam, self.cost = link, lam, cost
         self.served_step, self.unserved_step = served_step, unserved_step
         self.lo, self.hi = plan.lo.tolist(), plan.hi.tolist()
-        n, m = plan.rows.tolist(), plan.cols.tolist()
-        self.kept = [plan.kept[at:at + a * b].reshape(a, b)
-                     for at, a, b in zip(plan.off.tolist(), n, m)]
-        # a multi-row slot's (group, place in group) within its window
-        self.where = [None] * len(n)
-        self.windows = []
-        for first in range(0, len(n), _WINDOW):
-            stop = min(first + _WINDOW, len(n))
-            index, members = {}, []
-            for p in range(first, stop):
-                if n[p] > 1:
-                    g = index.setdefault((n[p], m[p]), len(members))
-                    if g == len(members):
-                        members.append([])
-                    self.where[p] = (g, len(members[g]))
-                    members[g].append(p)
-            self.windows.append((first, stop, [np.array(slots) for slots in members]))
+        self.kept = [plan.kept[at:at + a * b].reshape(a, b) for at, a, b in
+                     zip(plan.off.tolist(), plan.rows.tolist(), plan.cols.tolist())]
         # one slot's costs, then inf for the plan's missing links
         self.cost_of = np.empty(int((plan.hi - plan.lo).max(initial=0)) + 1)
-        self.rank = np.arange(max(n, default=0))
+        self.rank = np.arange(int(plan.rows.max(initial=0)))
 
     def run(self) -> np.ndarray:
         """One pass over every slot; returns the served-row mask.
@@ -453,76 +438,54 @@ class _Passes:
         fail often, few slots are solved again after each failure.
         """
         served = np.zeros(len(self.link), dtype=bool)
-        length = _WINDOW
-        for first, stop, groups in self.windows:
-            shapes = [self.kept[int(slots[0])].shape for slots in groups]
-            costs = [np.empty((len(slots),) + shape) for slots, shape in zip(groups, shapes)]
-            maps = [np.empty((len(slots), shape[0]), dtype=np.int64)
-                    for slots, shape in zip(groups, shapes)]
-            start = first
-            while start < stop:
-                end = min(start + length, stop)
-                lam_start = self.lam.copy()
-                picked = [self._solve(p, costs, maps, served) for p in range(start, end)]
-                bad = end
-                for g, (q0, q1) in self._places(start, end).items():
-                    failed = groups[g][q0:q1][~certify(costs[g][q0:q1], maps[g][q0:q1])]
-                    if len(failed):
-                        bad = min(bad, int(failed[0]))
-                if bad < end:
-                    self._redo(start, bad, end, lam_start, picked, served)
-                    length = max(1, bad - start)
-                    start = bad + 1
-                else:
-                    length = min(2 * length, _WINDOW)
-                    start = end
+        n, start, length = len(self.lo), 0, _WINDOW
+        while start < n:
+            end = min(start + length, start - start % _WINDOW + _WINDOW, n)
+            lam_start = self.lam.copy()
+            picked, shapes = [], {}
+            for p in range(start, end):
+                cost = self._matrix(p)
+                match = optimal_map(cost)
+                if len(match) > 1:
+                    shapes.setdefault(cost.shape, []).append((p, cost, match))
+                self._step(p, match, served)
+                picked.append(match)
+            bad = end
+            for group in shapes.values():
+                slots, costs, maps = zip(*group)
+                failed = np.flatnonzero(~certify(np.stack(costs), np.stack(maps)))
+                if len(failed):
+                    bad = min(bad, slots[failed[0]])
+            if bad < end:
+                self._redo(start, bad, end, lam_start, picked, served)
+                length = max(1, bad - start)
+                start = bad + 1
+            else:
+                length = min(2 * length, _WINDOW)
+                start = end
         return served
-
-    def _places(self, start, end) -> dict:
-        """For each group with slots in ``[start, end)``, the range of
-        their places in it."""
-        places = {}
-        for p in range(start, end):
-            if self.where[p] is not None:
-                g, q = self.where[p]
-                places.setdefault(g, [q, 0])[1] = q + 1
-        return places
 
     def _redo(self, start, bad, end, lam_start, picked, served) -> None:
         """Take back slots ``[start, end)``, whose map at slot ``bad``
         failed its certificate: restore the links' states, replay the
         certified slots before ``bad`` and serve ``bad`` by
         :func:`solve_assignment` of its kept matrix, solved whole, so that
-        ties are broken under the tolerance of the whole slot's optimum.
-        Its costs are ``inf`` exactly where the plan has no link."""
+        ties are broken under the tolerance of the whole slot's optimum."""
         self.lam[:] = lam_start
         served[self.lo[start]:self.hi[end - 1]] = False
         for p, match in zip(range(start, bad), picked):
             self._step(p, match, served)
-        cost = self._costs(bad).take(self.kept[bad], mode="clip")
+        cost = self._matrix(bad)
         match = solve_assignment(WeightMatrix(cost, np.isfinite(cost)), maximize=False)
         self._step(bad, match, served)
 
-    def _costs(self, p) -> np.ndarray:
-        """Slot ``p``'s cost per table row, then ``inf`` at the index its
-        kept matrix holds where no link exists."""
+    def _matrix(self, p) -> np.ndarray:
+        """Slot ``p``'s kept cost matrix under the current states: its
+        rows' costs, and ``inf`` exactly where the plan has no link."""
         a, b, cost_of = self.lo[p], self.hi[p], self.cost_of
         self.cost(self.lam[self.link[a:b]], a, b, cost_of[:b - a])
         cost_of[b - a] = np.inf
-        return cost_of
-
-    def _solve(self, p, costs, maps, served) -> np.ndarray:
-        """Serve slot ``p`` by its raw optimal map, keeping a multi-row
-        slot's cost matrix and map for the certificate; returns the map."""
-        kept, cost_of = self.kept[p], self._costs(p)
-        if self.where[p] is None:
-            match = optimal_map(cost_of[kept])
-        else:
-            g, q = self.where[p]
-            match = optimal_map(cost_of.take(kept, out=costs[g][q], mode="clip"))
-            maps[g][q] = match
-        self._step(p, match, served)
-        return match
+        return cost_of.take(self.kept[p], mode="clip")
 
     def _step(self, p, match, served) -> None:
         """Serve the table rows that ``match``, a map of slot ``p``'s kept

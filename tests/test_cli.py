@@ -55,6 +55,15 @@ def test_synth_rejects_bad_density(tmp_path, capsys):
     assert "error: synth:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--sats", "0"), ("--stations", "-2"),
+                                         ("--slots", "0")])
+def test_synth_rejects_sizes_below_one(tmp_path, capsys, flag, value):
+    rc = main(["synth", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: synth: {flag} must be at least 1\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_synth_rejects_inverted_qber_range(tmp_path, capsys):
     rc = main(["synth", "--qber-low", "0.2", "--qber-high", "0.1",
                "--out", str(tmp_path / "x.csv")])
@@ -187,6 +196,30 @@ def test_run_rejects_pass_budget_below_one(tmp_path, capsys):
     assert err.startswith("error: input:")
     assert "max_passes" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_run_rejects_delta_not_finite_positive(tmp_path, capsys, delta):
+    golden = Path(__file__).parent / "data" / "synth_golden.csv"
+    rc = main(["run", "--table", str(golden), "--schedulers", "op-rr",
+               f"--delta={delta}", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: delta")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.staging").exists()
+
+
+def test_run_rejects_repeated_scheduler_before_the_scan(tmp_path, monkeypatch, capsys):
+    scans = []
+    monkeypatch.setattr(cli, "build_visibility", lambda *a: scans.append(a))
+    rc = main(["run", "--scenario", str(SCENARIOS / "toy_equator.ini"),
+               "--schedulers", "rr,greedy,rr", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cli: scheduler 'rr' requested twice\n"
+    assert not scans
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.staging").exists()
 
 
 @pytest.mark.parametrize("flag, message", [

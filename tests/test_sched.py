@@ -229,6 +229,15 @@ def test_opportunistic_rejects_pass_budget_below_one(max_passes):
         sched.run_opportunistic(table, targets, max_passes=max_passes)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_opportunistic_rejects_delta_not_finite_positive(delta):
+    # a NaN or infinite step would poison every multiplier after one slot
+    table = _full_table(2, 1, 2, lambda t, s, g: 1.0)
+    targets = sched.derive_min_rates(sched.run_rr(table), table)
+    with pytest.raises(ValueError, match="delta"):
+        sched.run_opportunistic(table, targets, delta=delta)
+
+
 # ---------------------------------------------------------------- structure
 
 def test_hall_violation_falls_back_to_max_matching():
@@ -423,9 +432,8 @@ def test_opportunistic_work_stays_linear_when_certificates_fail(monkeypatch):
     table = make_table(400, 3, 4, rows)
     targets = np.zeros((3, 4))
     solves, fallbacks = [], []
-    solve = sched._Passes._solve
-    monkeypatch.setattr(sched._Passes, "_solve",
-                        lambda self, *a: solves.append(1) or solve(self, *a))
+    raw = sched.optimal_map
+    monkeypatch.setattr(sched, "optimal_map", lambda cost: solves.append(1) or raw(cost))
     exact = sched.solve_assignment
     monkeypatch.setattr(sched, "solve_assignment",
                         lambda *a, **k: fallbacks.append(1) or exact(*a, **k))
