@@ -28,7 +28,6 @@ scale with the rows, not with K. A map passes exactly when
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,16 +144,9 @@ def _check(cost: np.ndarray, match: np.ndarray) -> tuple:
     return ~movable.any(axis=(1, 2)), tol, excess
 
 
-@functools.lru_cache(maxsize=256)
 def _grid(K: int, n: int, m: int) -> tuple:
-    """Index arrays over a (K, n, m) stack, built once per shape. Shapes
-    repeat across a pass's windows and exact re-solves: 97 % of full-day
-    round-robin's 111 980 grids hit the cache, and without it that run
-    took 15.5-15.9 s against 10.9-13.9 s on a shared 2-core machine
-    (within noise in six later interleaved pairs)."""
+    """Index arrays over a (K, n, m) stack."""
     kk, rows, cols = np.arange(K)[:, None], np.arange(n), np.arange(m)
-    for a in (kk, rows, cols):
-        a.flags.writeable = False
     return kk, rows, kk[:, :, None], rows[:, None], cols
 
 

@@ -156,9 +156,10 @@ class EstimateTable:
         self._reindex()
 
     def _reindex(self):
-        # one int64 key orders rows by (slot, satellite, station) only while
-        # the indices are in range
-        for what, index, n in (("satellite", self.sat, self.n_sats),
+        # one int64 key orders rows by (slot, satellite, station), and the
+        # slot bounds cover every row, only while the indices are in range
+        for what, index, n in (("slot", self.slot, self.n_slots),
+                               ("satellite", self.sat, self.n_sats),
                                ("station", self.station, self.n_stations)):
             if np.any((index < 0) | (index >= n)):
                 raise ValueError(f"{what} index out of range [0, {n})")

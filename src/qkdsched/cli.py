@@ -168,7 +168,7 @@ def _cmd_run(args) -> int:
         raise CliError("cli", "--clouds needs --scenario; tables carry their "
                               "own cloud column")
     if any(name.startswith("op-") for name in names):
-        check_opportunistic(args.delta, args.max_passes)
+        check_opportunistic(args.delta, args.max_passes, args.tol)
     if not args.no_filter:
         check_threshold(args.filter_threshold)
     out = Path(args.out)
@@ -200,15 +200,14 @@ def _cmd_run(args) -> int:
             _verbose(f"running scheduler {name}")
             start = time.perf_counter()
             schedule, allocation = _execute(name, table, pairs, args, sub, bases)
-            report = summarize(schedule, allocation, scheduler=name)
-            report.runtime_s = time.perf_counter() - start
-            _verbose(f"  {name}: min {report.min_key} / total {report.total_key} "
-                     f"bits in {report.runtime_s:.2f}s")
+            report = summarize(schedule, allocation, scheduler=name,
+                               station_ids=table.station_ids)
+            _verbose(f"  {name}: min {report['min_key']} / total {report['total_key']} "
+                     f"bits in {time.perf_counter() - start:.2f}s")
             write_schedule_csv(sub / "schedule.csv", schedule, table)
             write_pools_csv(sub / "pools.csv", schedule, table)
             write_allocation_csv(sub / "allocation.csv", allocation, table)
-            write_report_json(sub / "report.json", report,
-                              station_ids=table.station_ids)
+            write_report_json(sub / "report.json", report)
             reports.append(report)
 
         write_comparison_csv(staging / "comparison.csv", reports)

@@ -1,86 +1,56 @@
 """Run summaries, visibility histograms, and report artifacts.
 
-Everything emitted here is deterministic for a given input: dictionaries
-are sorted before serialization and no wall-clock or host data is written,
-so two runs over the same scenario produce byte-identical artifacts.
+A run's report is the plain dict :func:`summarize` returns and
+:func:`write_report_json` dumps. Everything emitted here is deterministic
+for a given input: dicts are written with sorted keys and no wall-clock
+or host data is written, so two runs over the same scenario produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alloc import joint_capacity
 
 
-@dataclass
-class RunReport:
-    """Outcome of one scheduler plus allocation pipeline."""
-
-    scheduler: str
-    n_slots: int
-    n_sats: int
-    n_stations: int
-    served: int                 # scheduled (slot, satellite, station) entries
-    pool_total: int             # whole key bits pooled across links
-    pair_totals: dict           # (a, b) -> pairwise key bits
-    excluded_pairs: list        # pairs with no joint capacity entering phase 2
-    min_key: int                # worst pair among the non-excluded ones
-    total_key: int
-    rounds: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-    runtime_s: float = None     # in-memory only, never serialized
-
-    def to_dict(self, station_ids=None) -> dict:
-        def label(pair):
-            a, b = pair
-            if station_ids is not None:
-                a, b = int(station_ids[a]), int(station_ids[b])
-            return f"{a}-{b}"
-
-        return {
-            "schema_version": 1,
-            "scheduler": self.scheduler,
-            "dimensions": {"slots": self.n_slots, "satellites": self.n_sats,
-                           "stations": self.n_stations},
-            "served": self.served,
-            "pool_total": self.pool_total,
-            "pair_keys": {label(u): int(v)
-                          for u, v in sorted(self.pair_totals.items())},
-            "excluded_pairs": [label(u) for u in sorted(self.excluded_pairs)],
-            "min_key": self.min_key,
-            "total_key": self.total_key,
-            "rounds": self.rounds,
-            "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-        }
-
-
-def summarize(schedule, allocation, scheduler: str = None) -> RunReport:
-    """Collapse a schedule and its pairwise allocation into one report.
+def summarize(schedule, allocation, scheduler: str = None,
+              station_ids=None) -> dict:
+    """The ``report.json`` object of a schedule and its pairwise allocation,
+    pairs labelled ``"a-b"`` by station id, or by index when none are given.
 
     A pair without joint capacity in the pooled keys (through any single
     satellite) never had a chance at this schedule; it is listed as
     excluded and kept out of the min, which otherwise would pin every
     report at zero.
     """
+    def label(pair):
+        a, b = pair
+        if station_ids is not None:
+            a, b = int(station_ids[a]), int(station_ids[b])
+        return f"{a}-{b}"
+
     pairs = allocation.pairs
     reachable = (joint_capacity(schedule.key_pool, pairs) > 0).any(axis=0).tolist()
     totals = allocation.totals.tolist()
-    return RunReport(
-        scheduler=scheduler or schedule.metadata.get("scheduler", "unknown"),
-        n_slots=schedule.n_slots, n_sats=schedule.n_sats,
-        n_stations=schedule.n_stations, served=int(len(schedule.slot)),
-        pool_total=int(schedule.key_pool.sum()),
-        pair_totals=dict(zip(pairs, totals)),
-        excluded_pairs=[u for u, ok in zip(pairs, reachable) if not ok],
-        min_key=min((v for v, ok in zip(totals, reachable) if ok), default=0),
-        total_key=sum(totals),
-        rounds=list(allocation.rounds),
-        metadata=dict(schedule.metadata),
-    )
+    return {
+        "schema_version": 1,
+        "scheduler": scheduler or schedule.metadata.get("scheduler", "unknown"),
+        "dimensions": {"slots": schedule.n_slots, "satellites": schedule.n_sats,
+                       "stations": schedule.n_stations},
+        "served": len(schedule.slot),
+        "pool_total": int(schedule.key_pool.sum()),
+        "pair_keys": {label(u): v for u, v in zip(pairs, totals)},
+        "excluded_pairs": [label(u) for u, ok in sorted(zip(pairs, reachable))
+                           if not ok],
+        "min_key": min((v for v, ok in zip(totals, reachable) if ok), default=0),
+        "total_key": sum(totals),
+        "rounds": list(allocation.rounds),
+        "metadata": dict(schedule.metadata),
+    }
 
 
 def choice_histograms(table) -> dict:
@@ -105,9 +75,9 @@ def choice_histograms(table) -> dict:
     return out
 
 
-def write_report_json(path, report: RunReport, station_ids=None) -> None:
+def write_report_json(path, report: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_dict(station_ids), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -115,13 +85,11 @@ def write_comparison_csv(path, reports) -> None:
     """One row per scheduler: headline numbers side by side."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scheduler", "served", "pool_total", "min_key",
-                         "total_key", "excluded_pairs"])
+        columns = ["scheduler", "served", "pool_total", "min_key", "total_key"]
+        writer.writerow(columns + ["excluded_pairs"])
         for report in reports:
-            writer.writerow([
-                report.scheduler, report.served, report.pool_total,
-                report.min_key, report.total_key, len(report.excluded_pairs),
-            ])
+            writer.writerow([report[k] for k in columns]
+                            + [len(report["excluded_pairs"])])
 
 
 def write_histograms_csv(path, histograms: dict) -> None:

@@ -335,12 +335,14 @@ def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> np.ndarray
                      where=tau > 0) / estimates.normalizer
 
 
-def check_opportunistic(delta: float, max_passes: int) -> None:
+def check_opportunistic(delta: float, max_passes: int, tol: float) -> None:
     """Raise ValueError for settings :func:`run_opportunistic` refuses."""
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be finite and positive, got {delta}")
     if max_passes < 1:
         raise ValueError("max_passes must be at least 1")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
 def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
@@ -359,7 +361,7 @@ def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
     pass's decisions are the schedule, those of solving every slot with
     :func:`solve_assignment` (:class:`_Passes`).
     """
-    check_opportunistic(delta, max_passes)
+    check_opportunistic(delta, max_passes, tol)
     _check_key_bits(estimates)
     link = _links(estimates)
     bits, norm = estimates.key_bits, estimates.normalizer

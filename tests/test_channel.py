@@ -386,6 +386,13 @@ def test_estimate_table_rejects_out_of_range_index(sat, station, message):
         _index_table([0, 1], sat, station)
 
 
+@pytest.mark.parametrize("slot", [[0, 5], [-3, 1]])
+def test_estimate_table_rejects_out_of_range_slot(slot):
+    # a slot outside [0, n_slots) falls outside every slot's row range
+    with pytest.raises(ValueError, match=r"slot index out of range \[0, 4\)"):
+        _index_table(slot, [0, 0], [0, 0])
+
+
 def test_in_order_columns_are_taken_without_a_sort():
     rows = np.arange(4, dtype=float)
     columns = {"slot": np.array([0, 0, 1, 3]), "sat": np.array([0, 2, 1, 0]),

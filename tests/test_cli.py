@@ -210,6 +210,20 @@ def test_run_rejects_delta_not_finite_positive(tmp_path, capsys, delta):
     assert not (tmp_path / "out.staging").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_run_rejects_tol_not_finite_non_negative(tmp_path, capsys, tol):
+    # either would be written to run_config.json and report.json as a token
+    # that strict JSON parsers refuse
+    golden = Path(__file__).parent / "data" / "synth_golden.csv"
+    rc = main(["run", "--table", str(golden), "--schedulers", "op-rr",
+               f"--tol={tol}", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: input: tol must be finite and non-negative, got {tol}\n")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.staging").exists()
+
+
 def test_run_rejects_repeated_scheduler_before_the_scan(tmp_path, monkeypatch, capsys):
     scans = []
     monkeypatch.setattr(cli, "build_visibility", lambda *a: scans.append(a))

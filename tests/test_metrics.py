@@ -40,19 +40,19 @@ def test_summarize_excludes_unreachable_pairs():
     schedule = _schedule(pool)
     alloc = iterate_phase2(pool, station_pairs(3))
     report = summarize(schedule, alloc)
-    assert report.excluded_pairs == [(0, 2), (1, 2)]
-    assert report.min_key == 3          # min over the one reachable pair
-    assert report.total_key == 3
-    assert report.pool_total == 8
-    assert report.pair_totals[(0, 1)] == 3
+    assert report["excluded_pairs"] == ["0-2", "1-2"]
+    assert report["min_key"] == 3       # min over the one reachable pair
+    assert report["total_key"] == 3
+    assert report["pool_total"] == 8
+    assert report["pair_keys"]["0-1"] == 3
 
 
 def test_summarize_all_pairs_dead():
     schedule = _schedule(np.array([[7, 0, 0]]))
     alloc = PairAllocation(pairs=station_pairs(3), bits=np.zeros((1, 3), dtype=np.int64))
     report = summarize(schedule, alloc)
-    assert report.min_key == 0
-    assert len(report.excluded_pairs) == 3
+    assert report["min_key"] == 0
+    assert len(report["excluded_pairs"]) == 3
 
 
 def test_choice_histograms_hand_count():
@@ -78,10 +78,10 @@ def test_report_json_deterministic(tmp_path):
     pool = np.array([[5, 3, 0]])
     schedule = _schedule(pool, metadata={"scheduler": "rr", "passes": 2})
     alloc = iterate_phase2(pool, station_pairs(3))
-    report = summarize(schedule, alloc)
+    report = summarize(schedule, alloc, station_ids=[10, 11, 12])
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    write_report_json(first, report, station_ids=[10, 11, 12])
-    write_report_json(second, report, station_ids=[10, 11, 12])
+    write_report_json(first, report)
+    write_report_json(second, report)
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text())
     assert payload["pair_keys"] == {"10-11": 3, "10-12": 0, "11-12": 0}

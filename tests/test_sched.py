@@ -238,6 +238,16 @@ def test_opportunistic_rejects_delta_not_finite_positive(delta):
         sched.run_opportunistic(table, targets, delta=delta)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-4])
+def test_opportunistic_rejects_tol_not_finite_non_negative(tol):
+    # a NaN tolerance never stops the passes early, and neither it nor an
+    # infinite one can be written as strict JSON
+    table = _full_table(2, 1, 2, lambda t, s, g: 1.0)
+    targets = sched.derive_min_rates(sched.run_rr(table), table)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        sched.run_opportunistic(table, targets, tol=tol)
+
+
 # ---------------------------------------------------------------- structure
 
 def test_hall_violation_falls_back_to_max_matching():
