@@ -3,9 +3,10 @@
 Phase 2 of the pipeline: per-link key pools are combined, through the
 satellites acting as relays, into pairwise keys between ground stations.
 One pairwise bit between stations a and b through satellite s consumes one
-pooled bit of (s, a) and one of (s, b). Each fair round maximises the
+pooled bit of (s, a) and one of (s, b). The fair round maximises the
 worst pair, then, holding that floor, maximises the round's total so slack
-capacity is not wasted; the next round re-solves on the residual pools.
+capacity is not wasted; that leaves no pair any joint residual capacity,
+so one round is the whole allocation.
 The same machinery solves the joint schedule-and-allocate programs used as
 exact reference baselines at desk scale, and can export them in LP format
 for external solvers instead. Both programs take their pairwise variables
@@ -108,7 +109,7 @@ class PairAllocation:
     ``bits`` is an (n_sats, len(pairs)) int64 array: ``bits[s, u]`` whole
     key bits for pair ``pairs[u]`` relayed by satellite s, each drawing one
     bit from pool (s, a) and one from pool (s, b). ``rounds`` records the
-    floor value and active-pair count of each fair re-solve round.
+    floor value and active-pair count of the fair round, if it allocated.
     """
 
     pairs: list
@@ -200,34 +201,26 @@ def solve_phase2_maxmin(pools, pairs):
 
 
 def iterate_phase2(pools, pairs) -> PairAllocation:
-    """Fair allocation with residual re-solves.
+    """Fair allocation: one max-min round over the pairs that can receive bits.
 
     ``pools`` is an (S, G) array of whole key bits per link, as in
-    ``Schedule.key_pool``; the result's ``bits`` is (S, len(pairs)). Each
-    round maximises the minimum incremental allocation over the pairs that
-    can still receive bits (positive joint residual capacity through some
-    satellite), then its total at that floor (``solve_phase2_maxmin`` gives
-    the tie rule). Allocated bits are deducted, exhausted pairs freeze, and
-    the loop ends when no active pair remains or a round makes no progress.
-    Per-pair totals never decrease across rounds.
+    ``Schedule.key_pool``; the result's ``bits`` is (S, len(pairs)). The
+    round maximises the minimum allocation over the pairs with positive
+    joint capacity through some satellite, then its total at that floor
+    (``solve_phase2_maxmin`` gives the tie rule). That leaves no pair with
+    joint residual capacity, because one more bit for such a pair would fit
+    every bound and raise the total at the floor; a re-solve on the
+    residual pools would find no pair to serve. ``rounds`` records the
+    round, or nothing when its floor is zero.
     """
-    resid = np.array(pools, dtype=np.int64)
+    pools = np.asarray(pools, dtype=np.int64)
     pairs = list(pairs)
-    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    out = PairAllocation(pairs, np.zeros((resid.shape[0], len(pairs)), dtype=np.int64))
-
-    while True:
-        live = np.flatnonzero((joint_capacity(resid, pairs) > 0).any(axis=0))
-        if not len(live):
-            break
-        floor_value, bits = solve_phase2_maxmin(resid, [pairs[u] for u in live])
-        if floor_value == 0:
-            break
-        out.bits[:, live] += bits
-        for end in ends[live].T:   # each pairwise bit spends one bit at both ends
-            np.subtract.at(resid, (slice(None), end), bits)
+    out = PairAllocation(pairs, np.zeros((pools.shape[0], len(pairs)), dtype=np.int64))
+    live = np.flatnonzero((joint_capacity(pools, pairs) > 0).any(axis=0))
+    floor_value, bits = solve_phase2_maxmin(pools, [pairs[u] for u in live])
+    if floor_value > 0:
+        out.bits[:, live] = bits
         out.rounds.append({"floor": floor_value, "active_pairs": len(live)})
-
     return out
 
 

@@ -105,9 +105,10 @@ def qber_estimate(signal_prob, noise_prob, intrinsic_error_rate: float):
     return e if e.ndim else float(e)
 
 
-# the per-row columns of an EstimateTable
-_COLUMNS = ("slot", "sat", "station", "transmissivity", "successes", "qber", "rate",
-            "cloud", "key_bits")
+# the columns only the ``estimates.csv`` writer reads, and every per-row
+# column an EstimateTable may hold
+REPORT_COLUMNS = ("transmissivity", "successes", "qber", "rate")
+_COLUMNS = ("slot", "sat", "station", "cloud", "key_bits") + REPORT_COLUMNS
 
 
 @dataclass
@@ -117,7 +118,9 @@ class EstimateTable:
     Index arrays are positional (row in the scenario's station tuple /
     satellite tuple) and must lie in range. ``key_bits`` already folds in cloud cover:
     (1 - cloud) * successes * rate. ``transmitters`` / ``receivers`` carry
-    the per-slot link capacities the schedulers must respect.
+    the per-slot link capacities the schedulers must respect. The
+    ``REPORT_COLUMNS`` are read only by :func:`write_estimates_csv`; a
+    table built without them holds None there.
 
     Rows given in table order are kept as given: the table takes ownership
     of a contiguous column instead of copying it, so the caller must not
@@ -131,12 +134,12 @@ class EstimateTable:
     slot: np.ndarray
     sat: np.ndarray
     station: np.ndarray
-    transmissivity: np.ndarray
-    successes: np.ndarray
-    qber: np.ndarray
-    rate: np.ndarray
     cloud: np.ndarray
     key_bits: np.ndarray
+    transmissivity: np.ndarray = field(default=None)
+    successes: np.ndarray = field(default=None)
+    qber: np.ndarray = field(default=None)
+    rate: np.ndarray = field(default=None)
     transmitters: np.ndarray = field(default=None)
     receivers: np.ndarray = field(default=None)
     sat_ids: np.ndarray = field(default=None)
@@ -153,7 +156,14 @@ class EstimateTable:
             self.sat_ids = np.arange(self.n_sats, dtype=np.int64)
         if self.station_ids is None:
             self.station_ids = np.arange(self.n_stations, dtype=np.int64)
+        if len({getattr(self, name) is None for name in REPORT_COLUMNS}) > 1:
+            raise ValueError(f"report columns {REPORT_COLUMNS} come all together or not at all")
         self._reindex()
+
+    @property
+    def columns(self) -> tuple:
+        """Names of the per-row columns this table holds."""
+        return _COLUMNS if self.rate is not None else _COLUMNS[:-len(REPORT_COLUMNS)]
 
     def _reindex(self):
         # one int64 key orders rows by (slot, satellite, station), and the
@@ -169,11 +179,11 @@ class EstimateTable:
             # already in table order without repeats, as the scan, take and
             # the reader deliver them: keep the columns, a contiguous one
             # without a copy
-            for name in _COLUMNS:
+            for name in self.columns:
                 setattr(self, name, np.ascontiguousarray(getattr(self, name)))
         else:
             order = np.argsort(key, kind="stable")
-            for name in _COLUMNS:
+            for name in self.columns:
                 setattr(self, name, getattr(self, name)[order])
             key = key[order]
             repeat = np.flatnonzero(key[1:] == key[:-1])
@@ -209,7 +219,7 @@ class EstimateTable:
         """New table with the masked-in rows only."""
         return EstimateTable(
             n_slots=self.n_slots, n_sats=self.n_sats, n_stations=self.n_stations,
-            **{name: getattr(self, name)[mask] for name in _COLUMNS},
+            **{name: getattr(self, name)[mask] for name in self.columns},
             transmitters=self.transmitters.copy(), receivers=self.receivers.copy(),
             sat_ids=self.sat_ids.copy(), station_ids=self.station_ids.copy(),
         )
@@ -231,14 +241,17 @@ def noise_bucket(slot: np.ndarray, slot_duration_s: float) -> np.ndarray:
 
 
 def build_estimates(scenario: Scenario, visibility: VisibilityTable,
-                    cloud_matrix: np.ndarray = None) -> EstimateTable:
+                    cloud_matrix: np.ndarray = None, *,
+                    report_columns: bool = True) -> EstimateTable:
     """Estimate every visible triple of the scenario.
 
     ``cloud_matrix`` is an optional (n_stations, n_slots) array of cloud
-    cover in [0, 1]; omitted means clear sky. The table shares the
-    visibility table's index arrays. Rows are estimated
-    ``_CHUNK_ROWS`` at a time into the finished columns, so the
-    temporaries stay a chunk long.
+    cover in [0, 1]; omitted means clear sky. Each row's figures depend on
+    that row alone, so the estimates of a filtered visibility table equal
+    the same rows of the whole one, bit for bit. Without ``report_columns``
+    the table holds no ``REPORT_COLUMNS``. The table shares the visibility
+    table's index arrays. Rows are estimated ``_CHUNK_ROWS`` at a time
+    into the finished columns, so the temporaries stay a chunk long.
     """
     spec, ch, time = scenario.sat_spec, scenario.channel, scenario.time
     season = time.season()
@@ -251,7 +264,8 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
     bg = np.array([[st.background_noise[b] for b in NOISE_BUCKETS]
                    for st in scenario.stations])
     n = len(visibility)
-    eta, lam, e, r, c, bits = (np.empty(n) for _ in range(6))
+    names = ("cloud", "key_bits") + (REPORT_COLUMNS if report_columns else ())
+    out = {name: np.empty(n) for name in names}
     for a in range(0, n, _CHUNK_ROWS):
         part = slice(a, a + _CHUNK_ROWS)
         g, t = visibility.station[part], visibility.slot[part]
@@ -260,26 +274,27 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
         eta_fs = free_space_transmissivity(visibility.distance_km[part],
                                            ch.receiver_aperture_m,
                                            ch.transmit_divergence_urad)
-        eta[part] = eta_fs * eta_atm * spec.optics_transmissivity
-
-        lam[part] = expected_successes(eta[part], time.slot_duration_s,
-                                       spec.source_rate_hz, ch.detector_efficiency,
-                                       ch.sifting_factor)
+        eta = eta_fs * eta_atm * spec.optics_transmissivity
+        lam = expected_successes(eta, time.slot_duration_s, spec.source_rate_hz,
+                                 ch.detector_efficiency, ch.sifting_factor)
 
         bucket_idx = noise_bucket(t, time.slot_duration_s) // 6
         p_noise = bg[g, bucket_idx] + spec.dark_count_prob
-        p_signal = eta[part] * ch.detector_efficiency * ch.sifting_factor
-        e[part] = qber_estimate(p_signal, p_noise, ch.intrinsic_error_rate)
-        r[part] = key_rate(e[part])
+        p_signal = eta * ch.detector_efficiency * ch.sifting_factor
+        e = qber_estimate(p_signal, p_noise, ch.intrinsic_error_rate)
+        r = key_rate(e)
 
-        c[part] = 0.0 if cloud_matrix is None else cloud_matrix[g, t]
-        bits[part] = (1.0 - c[part]) * lam[part] * r[part]
+        c = 0.0 if cloud_matrix is None else cloud_matrix[g, t]
+        out["cloud"][part] = c
+        out["key_bits"][part] = (1.0 - c) * lam * r
+        if report_columns:
+            for name, value in zip(REPORT_COLUMNS, (eta, lam, e, r)):
+                out[name][part] = value
 
     return EstimateTable(
         n_slots=time.slot_count, n_sats=scenario.n_sats,
         n_stations=scenario.n_stations,
-        slot=visibility.slot, sat=visibility.sat, station=visibility.station,
-        transmissivity=eta, successes=lam, qber=e, rate=r, cloud=c, key_bits=bits,
+        slot=visibility.slot, sat=visibility.sat, station=visibility.station, **out,
         transmitters=np.full(scenario.n_sats, spec.transmitters, dtype=np.int64),
         receivers=np.array([st.receivers for st in scenario.stations], dtype=np.int64),
         sat_ids=np.array([sat.sat_id for sat in scenario.satellites], dtype=np.int64),
@@ -290,6 +305,7 @@ def build_estimates(scenario: Scenario, visibility: VisibilityTable,
 
 _CSV_HEADER = ["slot", "satellite_id", "station_id", "transmissivity",
                "successes", "qber", "key_rate", "cloud", "key_bits"]
+_CSV_REPORT = dict(zip(_CSV_HEADER[3:7], REPORT_COLUMNS))   # CSV name -> column
 _CSV_DTYPE = np.dtype([(name, np.int64) for name in _CSV_HEADER[:3]]
                       + [(name, np.float64) for name in _CSV_HEADER[3:]])
 # rows formatted per write; bounds the strings held at once
@@ -302,8 +318,13 @@ def write_estimates_csv(table: EstimateTable, path, *, metadata: bool = True) ->
     Lines end in CRLF and floats are written as their shortest round-trip
     ``repr``. With ``metadata``, a leading ``#`` line holds JSON with the
     table's ``n_slots``, ids and link capacities, which
-    :func:`read_estimates_csv` restores.
+    :func:`read_estimates_csv` restores. A table without its
+    ``REPORT_COLUMNS`` cannot be written.
     """
+    if table.rate is None:
+        raise ValueError(f"the estimate table was built without its report columns "
+                         f"{REPORT_COLUMNS}, which estimates.csv needs: build or read "
+                         f"it with report_columns=True to write it")
     ints = (table.slot, table.sat_ids[table.sat], table.station_ids[table.station])
     floats = (table.transmissivity, table.successes, table.qber, table.rate)
     with open(path, "w", newline="") as fh:
@@ -336,7 +357,7 @@ def _repr_repeated(values: np.ndarray) -> list:
     return [text[i] for i in index.tolist()]
 
 
-def read_estimates_csv(path) -> EstimateTable:
+def read_estimates_csv(path, *, report_columns: bool = True) -> EstimateTable:
     """Rebuild an estimate table written by :func:`write_estimates_csv`.
 
     A leading ``#`` metadata line restores the slot count, the ids in their
@@ -345,7 +366,9 @@ def read_estimates_csv(path) -> EstimateTable:
     the last occupied slot and every link capacity is one. A wrong header,
     a row that does not parse as three integers and six floats, key bits
     that are not finite and non-negative, cloud cover outside [0, 1] and a
-    table without rows are errors.
+    table without rows are errors. Every column is parsed and checked;
+    without ``report_columns`` the table keeps none of the
+    ``REPORT_COLUMNS``.
     """
     with open(path) as fh:
         line = fh.readline()
@@ -354,7 +377,9 @@ def read_estimates_csv(path) -> EstimateTable:
             line = fh.readline()
         if line.rstrip("\n").split(",") != _CSV_HEADER:
             raise ValueError(f"{path}: expected columns {_CSV_HEADER}")
-        columns = _read_columns(fh, path, 2 if meta else 1)
+        columns = _read_columns(fh, path, 2 if meta else 1,
+                                [name for name in _CSV_HEADER
+                                 if report_columns or name not in _CSV_REPORT])
     slot = columns["slot"]
     if not len(slot):
         raise ValueError(f"{path}: empty estimate table")
@@ -368,22 +393,23 @@ def read_estimates_csv(path) -> EstimateTable:
     return EstimateTable(
         n_slots=n_slots, n_sats=len(sat_ids), n_stations=len(station_ids),
         slot=slot, sat=sat, station=station,
-        transmissivity=columns["transmissivity"], successes=columns["successes"],
-        qber=columns["qber"], rate=columns["key_rate"], cloud=columns["cloud"],
-        key_bits=columns["key_bits"],
+        cloud=columns["cloud"], key_bits=columns["key_bits"],
+        **{name: columns.get(csv_name) for csv_name, name in _CSV_REPORT.items()},
         transmitters=meta.get("transmitters"), receivers=meta.get("receivers"),
         sat_ids=sat_ids, station_ids=station_ids,
     )
 
 
-def _read_columns(fh, path, lines_read: int) -> dict:
-    """Each CSV column of the rows left in ``fh``, as one contiguous array.
+def _read_columns(fh, path, lines_read: int, names) -> dict:
+    """The CSV columns ``names`` of the rows left in ``fh``, each as one
+    contiguous array.
 
     The rows are parsed ``_CHUNK_ROWS`` lines at a time, so that only one
-    chunk is ever held as records besides the columns. ``lines_read``
-    counts the lines before them, for the line numbers of an error.
+    chunk is ever held as records besides the columns, and every column is
+    parsed. ``lines_read`` counts the lines before them, for the line
+    numbers of an error.
     """
-    pieces = {name: [] for name in _CSV_HEADER}
+    pieces = {name: [] for name in names}
     with warnings.catch_warnings():
         # blank lines parse to no rows; the caller reports an empty table
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -405,7 +431,7 @@ def _read_columns(fh, path, lines_read: int) -> dict:
                 column.append(rows[name].copy())
     # one column at a time, each one's pieces freed before the next is joined
     columns = {}
-    for name in _CSV_HEADER:
+    for name in names:
         column = pieces.pop(name)
         columns[name] = (np.concatenate(column) if column
                          else np.zeros(0, dtype=_CSV_DTYPE[name]))

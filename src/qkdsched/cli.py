@@ -1,9 +1,12 @@
 """Command line front end.
 
 ``qkdsched run`` drives the full pipeline: scenario -> visibility ->
-channel estimates -> weather filter -> one or more schedulers -> pairwise
-allocation -> artifacts. ``qkdsched synth`` fabricates a standalone
-estimate table for scheduler experiments without orbit propagation.
+weather filter -> channel estimates of the kept rows -> one or more
+schedulers -> pairwise allocation -> artifacts; a ``--table`` run reads
+the estimates and then filters them. The report-only estimate columns
+are kept only when ``--dump-estimates`` writes them. ``qkdsched synth``
+fabricates a standalone estimate table for scheduler experiments without
+orbit propagation.
 
 Artifacts are assembled in a staging directory and moved into place with a
 single rename, so an interrupted run never leaves a half-written output
@@ -58,7 +61,8 @@ from .sched import (
     run_opportunistic,
     run_rr,
 )
-from .weather import WeatherError, apply_filter, check_threshold, cloud_matrix, load_clouds
+from .weather import (WeatherError, apply_filter, check_threshold, cloud_matrix,
+                      filter_visibility, load_clouds)
 
 SCHEDULERS = ("rr", "greedy", "op-rr", "op-greedy", "maxmin", "maxsum")
 
@@ -167,21 +171,22 @@ def _cmd_run(args) -> int:
     if args.table and args.clouds:
         raise CliError("cli", "--clouds needs --scenario; tables carry their "
                               "own cloud column")
-    if any(name.startswith("op-") for name in names):
-        check_opportunistic(args.delta, args.max_passes, args.tol)
+    # checked on every run, because run_config.json records them for every run
+    check_opportunistic(args.delta, args.max_passes, args.tol)
     if not args.no_filter:
         check_threshold(args.filter_threshold)
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError("cli", f"output directory '{out}' exists (use --force)")
 
+    threshold = None if args.no_filter else args.filter_threshold
     if args.scenario:
-        table = _scenario_table(args.scenario, args.clouds)
+        table = _scenario_table(args.scenario, args.clouds, threshold, args.dump_estimates)
     else:
         _verbose(f"reading estimate table {args.table}")
-        table = read_estimates_csv(args.table)
-    if not args.no_filter:
-        table = apply_filter(table, args.filter_threshold)
+        table = read_estimates_csv(args.table, report_columns=args.dump_estimates)
+        if threshold is not None:
+            table = apply_filter(table, threshold)
     _verbose(f"{len(table)} usable link-slots after filtering")
 
     staging = out.parent / (out.name + ".staging")
@@ -216,7 +221,7 @@ def _cmd_run(args) -> int:
             json.dump({
                 "source": args.scenario or args.table,
                 "clouds": args.clouds,
-                "filter_threshold": None if args.no_filter else args.filter_threshold,
+                "filter_threshold": threshold,
                 "schedulers": names,
                 "delta": args.delta, "max_passes": args.max_passes, "tol": args.tol,
                 "solver_nodes": args.solver_nodes, "seed": args.seed,
@@ -239,11 +244,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _scenario_table(scenario_path, clouds_path) -> EstimateTable:
-    """Scan and estimate a scenario. The clouds file is read before the
-    scan, so that a bad one fails fast. The visibility table and the cloud
-    matrix die with this call, so they are gone before the filter and the
-    schedulers run."""
+def _scenario_table(scenario_path, clouds_path, threshold, report_columns) -> EstimateTable:
+    """Scan a scenario and estimate the visible rows the cloud filter keeps
+    (all of them for a ``threshold`` of None). The clouds file is read
+    before the scan, so that a bad one fails fast. The visibility table and
+    the cloud matrix die with this call, before the schedulers run."""
     _verbose(f"loading scenario {scenario_path}")
     scenario = load_scenario(scenario_path)
     series = load_clouds(clouds_path, date=scenario.time.epoch) if clouds_path else None
@@ -251,7 +256,10 @@ def _scenario_table(scenario_path, clouds_path) -> EstimateTable:
              f"{scenario.time.slot_count} slots")
     visibility = build_visibility(scenario)
     clouds = None if series is None else cloud_matrix(series, scenario)
-    return build_estimates(scenario, visibility, clouds)
+    if clouds is not None and threshold is not None:
+        # the unfiltered visibility table is freed before the estimates exist
+        visibility = filter_visibility(visibility, clouds, threshold)
+    return build_estimates(scenario, visibility, clouds, report_columns=report_columns)
 
 
 def usable_cpus() -> int:

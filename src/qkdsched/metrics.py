@@ -102,11 +102,17 @@ def write_histograms_csv(path, histograms: dict) -> None:
                 writer.writerow([view, k, histograms[view][k]])
 
 
+# rows formatted per writerows call; bounds the Python objects held at once
+_WRITE_CHUNK_ROWS = 65536
+
+
 def _write_rows(path, header, columns) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+        for a in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
+            part = slice(a, a + _WRITE_CHUNK_ROWS)
+            writer.writerows(zip(*(c[part].tolist() for c in columns)))
 
 
 def write_schedule_csv(path, schedule, estimates) -> None:

@@ -19,7 +19,7 @@ cutoff only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +84,11 @@ class VisibilityTable:
 
     def __len__(self):
         return len(self.slot)
+
+    def take(self, mask: np.ndarray) -> "VisibilityTable":
+        """New table with the masked-in rows only."""
+        return replace(self, **{name: getattr(self, name)[mask] for name in
+                                ("slot", "sat", "station", "elevation_deg", "distance_km")})
 
 
 def _dot_threshold(altitude_km: float, min_elevation_deg: float) -> float:

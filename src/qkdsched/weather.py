@@ -4,7 +4,9 @@ Cloud cover arrives as hourly values per station and day (columns h00..h23).
 Within the simulation it is piecewise constant: the value at hour H holds
 for every slot starting in [H:00, H+1:00). Filtering removes links whose
 cloud cover strictly exceeds a threshold from the scheduler input so the
-slots can serve somebody else instead.
+slots can serve somebody else instead. One keep rule (:func:`kept`) decides
+for an estimate table's rows and, before any estimate is built, for a
+scenario's visibility rows.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EstimateTable, slot_hour
+from .orbit import VisibilityTable
 from .scenario import Scenario
 
 
@@ -84,21 +87,43 @@ def cloud_matrix(series: CloudSeries, scenario: Scenario) -> np.ndarray:
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise WeatherError for a threshold :func:`apply_filter` refuses."""
+    """Raise WeatherError for a threshold :func:`kept` refuses."""
     if not 0.0 <= threshold <= 1.0:
         raise WeatherError("filter threshold out of [0, 1]")
 
 
-def apply_filter(estimates: EstimateTable, threshold: float = 0.8) -> EstimateTable:
-    """Drop rows whose cloud cover strictly exceeds ``threshold``.
+def kept(cloud, threshold: float) -> np.ndarray:
+    """The filter's keep rule: True where cloud cover is at most ``threshold``.
 
     Equality stays in: a link at exactly the threshold is still offered to
-    the schedulers. Returns a new table of the kept rows, or the input
-    itself when every row passes (as in an already filtered dump); the
-    input is never changed.
+    the schedulers. ``cloud`` may be an estimate table's cloud column or a
+    whole :func:`cloud_matrix`.
     """
     check_threshold(threshold)
-    keep = estimates.cloud <= threshold
+    return np.asarray(cloud) <= threshold
+
+
+def filter_visibility(visibility: VisibilityTable, clouds: np.ndarray,
+                      threshold: float) -> VisibilityTable:
+    """The visibility rows whose cloud cover (``clouds[station, slot]``, as
+    :func:`cloud_matrix` lays it out) :func:`kept` keeps, or the input
+    itself when it keeps every row. Estimating these rows gives, bit for
+    bit, the table :func:`apply_filter` cuts from the estimates of every
+    row, without building that table.
+    """
+    keep = kept(clouds, threshold)[visibility.station, visibility.slot]
+    if keep.all():
+        return visibility
+    return visibility.take(keep)
+
+
+def apply_filter(estimates: EstimateTable, threshold: float = 0.8) -> EstimateTable:
+    """Drop rows whose cloud cover strictly exceeds ``threshold`` (:func:`kept`).
+
+    Returns a new table of the kept rows, or the input itself when every
+    row passes (as in an already filtered dump); the input is never changed.
+    """
+    keep = kept(estimates.cloud, threshold)
     if keep.all():
         return estimates
     return estimates.take(keep)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdsched.alloc import (
     MilpInstance,
@@ -193,7 +194,7 @@ def test_iterate_surplus_beyond_fair_floor():
 def test_iterate_stops_at_zero_progress():
     # the round lifts every pair to 2 and, at that floor, spends the slack
     # on one pair (2+2+3 = 7 of the 7.5 bits the pools allow); what is left
-    # cannot lift any pair, and the loop ends instead of spinning
+    # cannot lift any pair, so that one round is the whole allocation
     pools = np.array([[5, 5, 5]])
     pairs = _pair_list(3)
     out = iterate_phase2(pools, pairs)
@@ -203,8 +204,8 @@ def test_iterate_stops_at_zero_progress():
 
 
 def test_iterate_totals_cover_first_floor(rng):
-    # the first-round floor is exactly the min total over pairs that had
-    # any joint capacity to begin with; later rounds never break it
+    # the round's floor is exactly the min total over pairs that had any
+    # joint capacity to begin with
     for _ in range(25):
         n_sats = int(rng.integers(1, 4))
         n_stations = int(rng.integers(2, 5))
@@ -231,6 +232,31 @@ def test_iterate_respects_pool_budgets(rng):
         out = iterate_phase2(pools, _pair_list(4))
         assert np.all(_loads(out.bits, out.pairs, pools.shape) <= pools)
         assert out.totals.sum() == out.bits.sum()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_round_leaves_no_pair_joint_residual_capacity(data):
+    """After the one round, no pair can take one more bit through any
+    satellite, so a residual re-solve would have no live pair; without a
+    round, the pairs that could receive bits have a max-min floor of zero."""
+    n_sats, n_stations = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 5))
+    top = data.draw(st.sampled_from([3, 12, 1000, 10**7]))
+    pools = np.array(data.draw(st.lists(st.integers(0, top), min_size=n_sats * n_stations,
+                                        max_size=n_sats * n_stations)),
+                     dtype=np.int64).reshape(n_sats, n_stations)
+    pairs = _pair_list(n_stations)
+    out = iterate_phase2(pools, pairs)
+    resid = pools - _loads(out.bits, pairs, pools.shape)
+    assert np.all(resid >= 0)
+    if out.rounds:
+        assert len(out.rounds) == 1
+        assert not np.any(joint_capacity(resid, pairs) > 0)
+    else:
+        assert not out.bits.any()
+        live = [u for u, ok in zip(pairs, (joint_capacity(pools, pairs) > 0).any(axis=0))
+                if ok]
+        assert not live or solve_phase2_maxmin(pools, live)[0] == 0
 
 
 def _lex_maxmin_oracle(pools, pairs):
@@ -579,7 +605,7 @@ def _random_pools_and_pairs(rng, trial):
     pools = rng.integers(0, 9, size=(n_sats, n_stations))
     pools[rng.random(pools.shape) < 0.3] = 0
     pairs = _pair_list(n_stations)
-    if trial % 3:   # a random subset, as the residual rounds pass
+    if trial % 3:   # a random subset of the pairs
         keep = rng.random(len(pairs)) < 0.7
         pairs = [u for u, k in zip(pairs, keep) if k] or pairs[:1]
     if trial % 5 == 0:   # every pair live, so both solves run

@@ -173,6 +173,78 @@ def test_build_estimates_cloud_scaling(toy_scenario):
     assert cloudy.cloud[0] == 0.25
 
 
+@pytest.mark.parametrize("report_columns", [True, False])
+def test_filtered_visibility_estimates_equal_the_masked_rows_bitwise(report_columns):
+    """Estimating only some visibility rows gives the full table's values
+    for those rows, bit for bit, in chunks that keep none, some or all of
+    their rows; without report columns the table holds only the others."""
+    scn = load_scenario(SCENARIOS / "toy_equator.ini")
+    vis = build_visibility(scn)
+    rng = np.random.default_rng(4)
+    clouds = rng.random((scn.n_stations, scn.time.slot_count))
+    keep = rng.random(len(vis)) < 0.6
+    keep[:14] = False
+    keep[14:21] = True
+    full = channel.build_estimates(scn, vis, clouds)
+    with mock.patch.object(channel, "_CHUNK_ROWS", 7):
+        got = channel.build_estimates(scn, vis.take(keep), clouds,
+                                      report_columns=report_columns)
+    want = full.take(keep)
+    assert 0 < len(got) < len(full)
+    if report_columns:
+        _assert_bitwise_equal(got, want)
+    else:
+        assert got.columns == ("slot", "sat", "station", "cloud", "key_bits")
+        for name in channel.REPORT_COLUMNS:
+            assert getattr(got, name) is None, name
+        for name in got.columns:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_table_without_report_columns_cannot_be_dumped(tmp_path, toy_scenario):
+    table = channel.build_estimates(toy_scenario, _one_row_visibility(45.0, 800.0),
+                                    report_columns=False)
+    path = tmp_path / "est.csv"
+    with pytest.raises(ValueError, match=r"built without its report columns .*"
+                                         r"report_columns=True"):
+        channel.write_estimates_csv(table, path)
+    assert not path.exists()
+
+
+def test_reader_without_report_columns_still_checks_them(tmp_path):
+    table = _random_estimates(np.random.default_rng(6), 40)
+    path = tmp_path / "est.csv"
+    channel.write_estimates_csv(table, path)
+    back = channel.read_estimates_csv(path, report_columns=False)
+    for name in channel.REPORT_COLUMNS:
+        assert getattr(back, name) is None, name
+    for name in back.columns:
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
+    with pytest.raises(ValueError, match="built without its report columns"):
+        channel.write_estimates_csv(back, tmp_path / "again.csv")
+    # every column is still parsed: a bad report-only value fails either way
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[5] = "x"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    for report_columns in (True, False):
+        with pytest.raises(ValueError, match="est.csv: lines 3-"):
+            channel.read_estimates_csv(path, report_columns=report_columns)
+
+
+def test_report_columns_come_all_together_or_not_at_all():
+    zeros = np.zeros(1)
+    index = {"slot": np.zeros(1, dtype=np.int64), "sat": np.zeros(1, dtype=np.int64),
+             "station": np.zeros(1, dtype=np.int64)}
+    with pytest.raises(ValueError, match="all together or not at all"):
+        EstimateTable(n_slots=1, n_sats=1, n_stations=1, **index, cloud=zeros,
+                      key_bits=zeros, qber=zeros)
+    bare = EstimateTable(n_slots=1, n_sats=1, n_stations=1, **index, cloud=zeros,
+                         key_bits=zeros)
+    assert len(bare.take(np.array([True]))) == 1 and bare.take(np.array([True])).rate is None
+
+
 def _assert_bitwise_equal(got, want):
     for name in ("slot", "sat", "station", "sat_ids", "station_ids", "transmitters",
                  "receivers") + FLOAT_COLUMNS:

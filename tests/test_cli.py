@@ -224,6 +224,38 @@ def test_run_rejects_tol_not_finite_non_negative(tmp_path, capsys, tol):
     assert not (tmp_path / "out.staging").exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_run_config_is_strict_json(tmp_path):
+    golden = Path(__file__).parent / "data" / "synth_golden.csv"
+    out = tmp_path / "out"
+    assert main(["run", "--table", str(golden), "--schedulers", "rr,greedy",
+                 "--out", str(out)]) == 0
+    for path in sorted(out.rglob("*.json")):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    config = json.loads((out / "run_config.json").read_text())
+    assert (config["delta"], config["max_passes"], config["tol"]) == (0.01, 50, 1e-4)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan", "--delta", "inf"], "delta must be finite and positive, got inf"),
+    (["--tol", "nan"], "tol must be finite and non-negative, got nan"),
+    (["--max-passes", "0"], "max_passes must be at least 1"),
+])
+def test_recorded_settings_are_checked_without_an_op_scheduler(tmp_path, capsys, flags,
+                                                               message):
+    # run_config.json records them for every run, so every run checks them
+    golden = Path(__file__).parent / "data" / "synth_golden.csv"
+    out = tmp_path / "out"
+    rc = main(["run", "--table", str(golden), "--schedulers", "rr", *flags,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: input: {message}\n"
+    assert not out.exists() and not (tmp_path / "out.staging").exists()
+
+
 def test_run_rejects_repeated_scheduler_before_the_scan(tmp_path, monkeypatch, capsys):
     scans = []
     monkeypatch.setattr(cli, "build_visibility", lambda *a: scans.append(a))
@@ -684,3 +716,15 @@ def test_readme_dump_replays_to_the_same_artifacts(tmp_path):
     assert [n for n in want if got[n] != want[n]] == []
     report = json.loads((replay / "rr" / "report.json").read_text())
     assert report["dimensions"] == {"satellites": 2, "slots": 600, "stations": 3}
+
+
+def test_table_replay_rewrites_the_dump_byte_for_byte(tmp_path):
+    # a --table run keeps the report columns only when it dumps them
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", "--scenario", str(scenarios / "toy_equator.ini"),
+                 "--clouds", str(scenarios / "clouds_sample.csv"), "--schedulers", "greedy",
+                 "--filter-threshold", "0.3", "--dump-estimates", "--out", str(first)]) == 0
+    assert main(["run", "--table", str(first / "estimates.csv"), "--schedulers", "greedy",
+                 "--filter-threshold", "0.3", "--dump-estimates", "--out", str(replay)]) == 0
+    assert (replay / "estimates.csv").read_bytes() == (first / "estimates.csv").read_bytes()
