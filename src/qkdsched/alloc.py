@@ -15,12 +15,16 @@ from one enumeration (``_pair_vars``) and are assembled from index arrays.
 All integer programs run through HiGHS's branch-and-cut
 (scipy.optimize.milp) with a zero relative gap, so "optimal" means proved
 optimal to HiGHS's absolute tolerance however large the key pools grow.
+They run without HiGHS's Feasibility Jump heuristic, whose start-up cost
+dominates small solves; where a program has several optima, the one
+returned may differ from default HiGHS's, but its value does not.
 Exactness is only promised at desk scale; LP export is the road to other
 solvers beyond that.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,21 +72,33 @@ def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResul
     at once without solving). A spent budget yields ``budget_exceeded`` with
     the incumbent, if any, and the absolute gap bound - objective; with no
     incumbent the gap is infinite. Integer variables come back rounded.
+
+    HiGHS's Feasibility Jump primal heuristic is switched off: its fixed
+    start-up cost is most of the time of a desk-scale solve. Optimal values
+    do not change, but a program with several optima may end at another
+    optimal vertex than default HiGHS.
     """
     if max_nodes is not None and max_nodes <= 0:
         return MilpResult(status="budget_exceeded", gap=np.inf)
-    options = {"mip_rel_gap": 0.0}
+    options = {"mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
     if max_nodes is not None:
         options["node_limit"] = int(max_nodes)
     constraints = ([LinearConstraint(instance.a_ub, -np.inf, instance.b_ub)]
                    if instance.a_ub.shape[0] else [])
-    res = milp(-instance.objective, integrality=instance.integer.astype(int),
-               bounds=Bounds(instance.lower, instance.upper),
-               constraints=constraints, options=options)
+    with warnings.catch_warnings():
+        # scipy hands keys it does not know to HiGHS verbatim, and warns so
+        warnings.filterwarnings("ignore", r"Unrecognized options detected: "
+                                r"\{'mip_heuristic_run_feasibility_jump'\}",
+                                RuntimeWarning)
+        res = milp(-instance.objective, integrality=instance.integer.astype(int),
+                   bounds=Bounds(instance.lower, instance.upper),
+                   constraints=constraints, options=options)
     nodes = int(res.mip_node_count or 0)
     if res.status == 2:
         return MilpResult(status="infeasible", nodes=nodes)
-    if res.status not in (0, 1):
+    # scipy does not know HiGHS's node-limit status and reports it as 4
+    at_node_limit = max_nodes is not None and res.status == 4 and nodes >= max_nodes
+    if res.status not in (0, 1) and not at_node_limit:
         raise RuntimeError(f"MILP solve failed: {res.message}")
     if res.x is None:
         return MilpResult(status="budget_exceeded", gap=np.inf, nodes=nodes)

@@ -375,6 +375,17 @@ def random_table(rng, n_slots=30, n_sats=3, n_stations=4, density=0.6, scale=10.
     return make_table(n_slots, n_sats, n_stations, rows)
 
 
+# (slot, sat, station, key_bits) of a desk table whose max-min baseline does
+# not close at HiGHS's root node (optimum 7, root bound 8)
+BRANCHING_DESK_ROWS = [
+    (0, 0, 0, 7.6), (0, 0, 2, 2.9), (0, 1, 0, 7.7), (0, 1, 1, 4.4),
+    (1, 0, 1, 4.8), (1, 0, 2, 2.7), (1, 1, 1, 5.7), (1, 1, 2, 7.6),
+    (2, 0, 0, 3.6), (2, 0, 1, 4.3), (2, 1, 0, 5.3), (2, 1, 1, 1.8),
+    (3, 0, 0, 5.9), (3, 0, 1, 4.1), (3, 1, 0, 6.4), (3, 1, 1, 3.8), (3, 1, 2, 6.1),
+    (4, 0, 0, 2.1), (4, 0, 1, 7.2), (4, 0, 2, 2.5), (4, 1, 1, 4.8), (4, 1, 2, 7.0),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

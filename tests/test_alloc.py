@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
 from qkdsched.alloc import (
     MilpInstance,
@@ -21,6 +22,7 @@ from qkdsched.alloc import (
 from qkdsched.sched import run_greedy
 
 from conftest import (
+    BRANCHING_DESK_ROWS,
     _pair_list,
     assert_same_instance,
     make_table,
@@ -398,6 +400,100 @@ def test_baseline_budget_exhausted_reports_honestly(rng):
     full = solve_baseline(table, "maxmin")
     assert full.milp.status == "optimal"
     assert full.milp.gap == 0.0
+
+
+def test_spent_node_budget_keeps_incumbent_and_gap():
+    table = make_table(5, 2, 3, BRANCHING_DESK_ROWS)
+    full = solve_baseline(table, "maxmin")
+    assert full.milp.status == "optimal" and full.milp.nodes > 1
+    capped = solve_baseline(table, "maxmin", max_nodes=1)
+    assert capped.milp.status == "budget_exceeded"
+    assert capped.milp.nodes == 1
+    assert capped.milp.objective <= full.milp.objective
+    assert 0.0 <= capped.milp.gap < np.inf
+    assert capped.schedule.metadata["milp_status"] == "budget_exceeded"
+    assert capped.schedule.metadata["milp_gap"] == capped.milp.gap
+    # the incumbent is a feasible schedule and allocation
+    pools = capped.schedule.key_pool
+    loads = _loads(capped.allocation.bits, capped.allocation.pairs, pools.shape)
+    assert np.all(loads <= pools)
+    assert capped.allocation.totals.min() == capped.milp.objective
+
+
+@pytest.mark.parametrize("max_nodes, nodes", [(None, 3), (5, 3)])
+def test_unrecognized_solver_status_still_raises(monkeypatch, max_nodes, nodes):
+    # status 4 counts as a spent budget only where the node budget was reached
+    import qkdsched.alloc as alloc_mod
+
+    def failed(*args, **kwargs):
+        return OptimizeResult(status=4, message="HiGHS failed", x=None, fun=None,
+                              mip_node_count=nodes, mip_dual_bound=None)
+
+    monkeypatch.setattr(alloc_mod, "milp", failed)
+    instance = build_baseline_instance(make_table(1, 1, 2, [(0, 0, 0, 1.0)]))
+    with pytest.raises(RuntimeError, match="HiGHS failed"):
+        branch_and_bound(instance, max_nodes=max_nodes)
+
+
+def test_branch_and_bound_turns_feasibility_jump_off(monkeypatch):
+    import qkdsched.alloc as alloc_mod
+
+    seen = []
+
+    def capture(*args, options=None, **kwargs):
+        seen.append(dict(options))
+        return milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(alloc_mod, "milp", capture)
+    assert solve_phase2_maxmin(np.array([[3, 3]]), [(0, 1)])[0] == 3
+    solve_baseline(make_table(1, 1, 2, [(0, 0, 0, 1.0)]), max_nodes=7)
+    assert len(seen) == 3 and seen[2]["node_limit"] == 7
+    for options in seen:
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+        assert options["mip_rel_gap"] == 0.0
+
+
+def _default_highs_optimum(instance):
+    """Optimum of the instance from scipy.optimize.milp with default options.
+    Every objective here is integral and far below 1e4, so the default
+    relative gap of 1e-4 proves it exactly."""
+    res = milp(-instance.objective, integrality=instance.integer.astype(int),
+               bounds=Bounds(instance.lower, instance.upper),
+               constraints=[LinearConstraint(instance.a_ub, -np.inf, instance.b_ub)])
+    assert res.status == 0, res.message
+    assert -res.fun == pytest.approx(round(-res.fun), abs=1e-6)
+    return int(round(-res.fun))
+
+
+def test_objectives_equal_default_highs(rng):
+    # desk tables as the benchmark draws them: 2 satellites x 3 stations,
+    # 4-5 slots, density 0.6, key bits below 8
+    pairs = station_pairs(3)
+    served = 0
+    for trial in range(50):
+        table = random_table(rng, n_slots=int(rng.integers(4, 6)), n_sats=2,
+                             n_stations=3, density=0.6, scale=8.0)
+        pools = run_greedy(table).key_pool
+        got = iterate_phase2(pools, pairs)
+        live = [u for u, c in zip(pairs, joint_capacity(pools, pairs).any(axis=0)) if c]
+        instance = reference_phase2_instance(pools, live)
+        floor_value = _default_highs_optimum(instance) if instance else 0
+        assert (got.rounds[0]["floor"] if got.rounds else 0) == floor_value, trial
+        if floor_value:
+            served += 1
+            n_y = instance.n_vars - 1
+            total = _default_highs_optimum(replace(
+                instance, objective=np.append(np.ones(n_y), 0.0),
+                lower=np.append(np.zeros(n_y), floor_value)))
+            assert got.bits.sum() == total, trial
+        for objective in ("maxmin", "maxsum"):
+            result = solve_baseline(table, objective)
+            want = _default_highs_optimum(reference_baseline_instance(table, objective))
+            assert result.milp.status == "optimal"
+            assert result.milp.objective == pytest.approx(want, abs=1e-6), trial
+            totals = result.allocation.totals
+            assert (totals.min() if objective == "maxmin" else totals.sum()) == want
+    assert served >= 25   # most trials reach the tie-rule solve
 
 
 def test_baseline_rejects_unknown_objective(rng):

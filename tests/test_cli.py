@@ -17,8 +17,10 @@ from pathlib import Path
 import pytest
 
 import qkdsched.cli as cli
-from qkdsched.channel import read_estimates_csv
+from qkdsched.channel import read_estimates_csv, write_estimates_csv
 from qkdsched.cli import main
+
+from conftest import BRANCHING_DESK_ROWS, make_table
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -121,6 +123,19 @@ def test_run_from_table_writes_artifacts(tmp_path):
     assert config["seed"] == 0
     lines = (out / "comparison.csv").read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+def test_spent_node_budget_is_reported_not_an_error(tmp_path):
+    table = tmp_path / "desk.csv"
+    write_estimates_csv(make_table(5, 2, 3, BRANCHING_DESK_ROWS), table, metadata=False)
+    out = tmp_path / "out"
+    rc = main(["run", "--table", str(table), "--schedulers", "maxmin,maxsum",
+               "--solver-nodes", "1", "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((out / "maxmin" / "report.json").read_text())["metadata"]
+    assert meta["milp_status"] == "budget_exceeded"
+    assert meta["milp_nodes"] == 1
+    assert meta["milp_gap"] is not None and 0.0 <= meta["milp_gap"] < 1e9
 
 
 def test_run_twice_byte_identical(tmp_path):
