@@ -346,7 +346,7 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
     With ``export_path`` set the instance is written in LP format and, when
     ``max_nodes`` is zero, returned unsolved for external solving.
     Otherwise HiGHS (see ``branch_and_bound``) runs under the node budget;
-    exhausting it yields the incumbent (possibly empty) plus the gap. The
+    exhausting it yields the incumbent (possibly empty) plus the integral gap. The
     schedule is the estimate rows whose x is 1, the allocation the y values
     read back into an (S, len(pairs)) ``PairAllocation.bits`` array.
     """
@@ -368,6 +368,9 @@ def solve_baseline(estimates: EstimateTable, objective: str = "maxmin",
     result = branch_and_bound(instance, max_nodes=max_nodes)
     if result.status == "infeasible":
         raise RuntimeError("baseline program infeasible; inputs inconsistent")
+    if result.status == "budget_exceeded" and np.isfinite(result.gap):
+        # baseline objectives are integral: floor the bound within HiGHS's tolerance
+        result.gap = np.floor(result.objective + result.gap + 1e-6) - result.objective
     if result.values is not None:  # else the budget ran out before any integer point
         chosen = result.values[:len(estimates)] > 0.5
         pair, sat, _, _, _ = _pair_vars(_link_capacity(estimates), pairs)

@@ -95,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--table", help="precomputed estimate CSV instead")
     run_p.add_argument("--clouds", help="hourly cloud-cover CSV")
     run_p.add_argument("--filter-threshold", type=float, default=0.8,
-                       help="drop links whose cloud cover exceeds this")
-    run_p.add_argument("--no-filter", action="store_true",
-                       help="keep links regardless of cloud cover")
+                       help="drop links whose cloud cover exceeds this "
+                            "(1 keeps every link)")
     run_p.add_argument("--schedulers", default="rr,greedy,op-rr",
                        help="comma list from: " + ",".join(SCHEDULERS))
     run_p.add_argument("--delta", type=float, default=0.01,
@@ -173,20 +172,18 @@ def _cmd_run(args) -> int:
                               "own cloud column")
     # checked on every run, because run_config.json records them for every run
     check_opportunistic(args.delta, args.max_passes, args.tol)
-    if not args.no_filter:
-        check_threshold(args.filter_threshold)
+    check_threshold(args.filter_threshold)
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError("cli", f"output directory '{out}' exists (use --force)")
 
-    threshold = None if args.no_filter else args.filter_threshold
     if args.scenario:
-        table = _scenario_table(args.scenario, args.clouds, threshold, args.dump_estimates)
+        table = _scenario_table(args.scenario, args.clouds, args.filter_threshold,
+                                args.dump_estimates)
     else:
         _verbose(f"reading estimate table {args.table}")
-        table = read_estimates_csv(args.table, report_columns=args.dump_estimates)
-        if threshold is not None:
-            table = apply_filter(table, threshold)
+        table = apply_filter(read_estimates_csv(args.table, report_columns=args.dump_estimates),
+                             args.filter_threshold)
     _verbose(f"{len(table)} usable link-slots after filtering")
 
     staging = out.parent / (out.name + ".staging")
@@ -221,7 +218,7 @@ def _cmd_run(args) -> int:
             json.dump({
                 "source": args.scenario or args.table,
                 "clouds": args.clouds,
-                "filter_threshold": threshold,
+                "filter_threshold": args.filter_threshold,
                 "schedulers": names,
                 "delta": args.delta, "max_passes": args.max_passes, "tol": args.tol,
                 "solver_nodes": args.solver_nodes, "seed": args.seed,
@@ -245,18 +242,19 @@ def _cmd_run(args) -> int:
 
 
 def _scenario_table(scenario_path, clouds_path, threshold, report_columns) -> EstimateTable:
-    """Scan a scenario and estimate the visible rows the cloud filter keeps
-    (all of them for a ``threshold`` of None). The clouds file is read
-    before the scan, so that a bad one fails fast. The visibility table and
-    the cloud matrix die with this call, before the schedulers run."""
+    """Scan a scenario and estimate the visible rows the cloud filter keeps.
+    The clouds file is read for the scenario's epoch before the scan, so
+    that a bad one fails fast. The visibility table and the cloud matrix
+    die with this call, before the schedulers run."""
     _verbose(f"loading scenario {scenario_path}")
     scenario = load_scenario(scenario_path)
-    series = load_clouds(clouds_path, date=scenario.time.epoch) if clouds_path else None
+    hourly = load_clouds(clouds_path, date=scenario.time.epoch) if clouds_path else None
     _verbose(f"scanning visibility for {scenario.n_sats} satellites x "
              f"{scenario.time.slot_count} slots")
     visibility = build_visibility(scenario)
-    clouds = None if series is None else cloud_matrix(series, scenario)
-    if clouds is not None and threshold is not None:
+    clouds = None
+    if hourly is not None:
+        clouds = cloud_matrix(hourly, scenario)
         # the unfiltered visibility table is freed before the estimates exist
         visibility = filter_visibility(visibility, clouds, threshold)
     return build_estimates(scenario, visibility, clouds, report_columns=report_columns)

@@ -1,4 +1,4 @@
-"""Cloud-cover series and scheduler-input filtering.
+"""Hourly cloud cover and scheduler-input filtering.
 
 Cloud cover arrives as hourly values per station and day (columns h00..h23).
 Within the simulation it is piecewise constant: the value at hour H holds
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +25,11 @@ class WeatherError(ValueError):
     pass
 
 
-@dataclass
-class CloudSeries:
-    """Hourly cloud cover per station for one day.
-
-    ``hourly`` maps station_id -> float array of shape (24,), values in
-    [0, 1]. Stations absent from the map are treated as clear sky.
-    """
-
-    date: _dt.date
-    hourly: dict
-
-
-def load_clouds(path, date: _dt.date = None) -> CloudSeries:
-    """Read a clouds CSV (station_id, date, h00..h23).
-
-    With ``date`` given, only matching rows are kept; otherwise all rows
-    must share one date. A station may appear at most once per date.
-    """
+def load_clouds(path, date: _dt.date) -> dict:
+    """station_id -> (24,) hourly cloud cover on ``date``, from a clouds CSV
+    (station_id, date, h00..h23). Every row of every date is checked (cover
+    in [0, 1], one row per date and station); rows of other dates are then
+    ignored."""
     hour_cols = [f"h{h:02d}" for h in range(24)]
     by_date: dict = {}
     with open(path, newline="") as fh:
@@ -61,28 +47,21 @@ def load_clouds(path, date: _dt.date = None) -> CloudSeries:
             if not np.all((values >= 0.0) & (values <= 1.0)):   # NaN included
                 raise WeatherError(f"{path}: station {sid} cloud cover out of [0, 1]")
             day[sid] = values
-    if date is not None:
-        if date not in by_date:
-            raise WeatherError(f"{path}: no rows for {date}")
-        return CloudSeries(date=date, hourly=by_date[date])
-    if not by_date:
-        raise WeatherError(f"{path}: no rows")
-    if len(by_date) > 1:
-        raise WeatherError(f"{path}: multiple dates present, pass an explicit date")
-    only_date, hourly = by_date.popitem()
-    return CloudSeries(date=only_date, hourly=hourly)
+    if date not in by_date:
+        raise WeatherError(f"{path}: no rows for {date}")
+    return by_date[date]
 
 
-def cloud_matrix(series: CloudSeries, scenario: Scenario) -> np.ndarray:
-    """Dense (n_stations, n_slots) cloud-cover array for estimate building,
-    wrapping past the stored day; a station without a row reads clear sky."""
+def cloud_matrix(hourly: dict, scenario: Scenario) -> np.ndarray:
+    """Dense (n_stations, n_slots) cloud-cover array for estimate building
+    from :func:`load_clouds`' map, wrapping past the stored day; a station
+    without a row reads clear sky."""
     time = scenario.time
     hours = slot_hour(np.arange(time.slot_count), time.slot_duration_s)
     out = np.zeros((scenario.n_stations, time.slot_count))
     for i, st in enumerate(scenario.stations):
-        series_g = series.hourly.get(st.station_id)
-        if series_g is not None:
-            out[i] = series_g[hours]
+        if st.station_id in hourly:
+            out[i] = hourly[st.station_id][hours]
     return out
 
 
@@ -103,6 +82,11 @@ def kept(cloud, threshold: float) -> np.ndarray:
     return np.asarray(cloud) <= threshold
 
 
+def _keep_or_take(rows, keep: np.ndarray):
+    """``rows`` itself when ``keep`` keeps every row, else its kept rows."""
+    return rows if keep.all() else rows.take(keep)
+
+
 def filter_visibility(visibility: VisibilityTable, clouds: np.ndarray,
                       threshold: float) -> VisibilityTable:
     """The visibility rows whose cloud cover (``clouds[station, slot]``, as
@@ -111,19 +95,14 @@ def filter_visibility(visibility: VisibilityTable, clouds: np.ndarray,
     bit, the table :func:`apply_filter` cuts from the estimates of every
     row, without building that table.
     """
-    keep = kept(clouds, threshold)[visibility.station, visibility.slot]
-    if keep.all():
-        return visibility
-    return visibility.take(keep)
+    return _keep_or_take(visibility,
+                         kept(clouds, threshold)[visibility.station, visibility.slot])
 
 
-def apply_filter(estimates: EstimateTable, threshold: float = 0.8) -> EstimateTable:
+def apply_filter(estimates: EstimateTable, threshold: float) -> EstimateTable:
     """Drop rows whose cloud cover strictly exceeds ``threshold`` (:func:`kept`).
 
     Returns a new table of the kept rows, or the input itself when every
     row passes (as in an already filtered dump); the input is never changed.
     """
-    keep = kept(estimates.cloud, threshold)
-    if keep.all():
-        return estimates
-    return estimates.take(keep)
+    return _keep_or_take(estimates, kept(estimates.cloud, threshold))

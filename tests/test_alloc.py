@@ -420,6 +420,15 @@ def test_spent_node_budget_keeps_incumbent_and_gap():
     assert capped.allocation.totals.min() == capped.milp.objective
 
 
+def test_spent_budget_gap_is_integral():
+    # HiGHS's bound reads 7.999999999999998 here; every baseline objective is
+    # integral, so the bound is floored before the incumbent 7 is taken off
+    capped = solve_baseline(make_table(5, 2, 3, BRANCHING_DESK_ROWS), "maxmin", max_nodes=1)
+    assert capped.milp.status == "budget_exceeded" and capped.milp.objective == 7.0
+    assert capped.milp.gap == 1.0
+    assert capped.schedule.metadata["milp_gap"] == 1.0
+
+
 @pytest.mark.parametrize("max_nodes, nodes", [(None, 3), (5, 3)])
 def test_unrecognized_solver_status_still_raises(monkeypatch, max_nodes, nodes):
     # status 4 counts as a spent budget only where the node budget was reached

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour and artifact determinism."""
 
+import argparse
 import csv
 import errno
 import gc
@@ -7,6 +8,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +20,9 @@ import pytest
 
 import qkdsched.cli as cli
 from qkdsched.channel import read_estimates_csv, write_estimates_csv
-from qkdsched.cli import main
+from qkdsched.cli import build_parser, main
+from qkdsched.orbit import build_visibility
+from qkdsched.scenario import load_scenario
 
 from conftest import BRANCHING_DESK_ROWS, make_table
 
@@ -543,6 +547,44 @@ def test_run_scenario_with_cloud_filter(tmp_path):
     assert "2-3" in report["excluded_pairs"]
     assert report["pair_keys"]["1-2"] > 0
     assert report["min_key"] == report["pair_keys"]["1-2"]
+
+
+@pytest.mark.parametrize("case", ["toy", "overcast-station"])
+def test_threshold_one_dumps_every_visibility_row(tmp_path, case):
+    """``--filter-threshold 1`` keeps every link, fully clouded ones too."""
+    if case == "toy":
+        scene, clouds = SCENARIOS / "toy_equator.ini", SCENARIOS / "clouds_sample.csv"
+    else:
+        scene, clouds = _clouded_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scene), "--clouds", str(clouds),
+                 "--schedulers", "greedy", "--filter-threshold", "1",
+                 "--dump-estimates", "--out", str(out)]) == 0
+    dumped = read_estimates_csv(out / "estimates.csv")
+    assert len(dumped) == len(build_visibility(load_scenario(scene)))
+    assert (dumped.cloud == 1.0).any() == (case == "overcast-station")
+    assert json.loads((out / "run_config.json").read_text())["filter_threshold"] == 1.0
+
+
+def test_no_filter_flag_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--table", str(_synth(tmp_path)), "--no-filter", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-filter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = [f"{command} {option}" for command in ("run", "synth")
+               for action in subparsers.choices[command]._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings
+               if not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert missing == []
 
 
 def test_scan_and_clouds_are_released_before_the_schedulers(tmp_path, monkeypatch):

@@ -605,7 +605,7 @@ def test_global_cut_rr_and_op_rr_match_digests():
     scn = dataclasses.replace(scn, time=dataclasses.replace(scn.time, slot_count=2400))
     clouds = cloud_matrix(load_clouds(scenarios / "clouds_sample.csv", date=scn.time.epoch),
                           scn)
-    table = apply_filter(build_estimates(scn, build_visibility(scn), clouds))
+    table = apply_filter(build_estimates(scn, build_visibility(scn), clouds), 0.8)
     rr = sched.run_rr(table)
     schedules = {"rr": rr, "greedy": sched.run_greedy(table),
                  "op-rr": sched.run_opportunistic(table, sched.derive_min_rates(rr, table),

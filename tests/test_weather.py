@@ -8,10 +8,13 @@ import pytest
 
 import qkdsched.cli as cli
 from qkdsched import weather
-from qkdsched.channel import build_estimates
+from qkdsched.channel import build_estimates, read_estimates_csv, write_estimates_csv
 from qkdsched.orbit import build_visibility
 from qkdsched.scenario import load_scenario
 from conftest import make_table
+
+
+MARCH_15 = dt.date(2022, 3, 15)
 
 
 def _clouds_csv(tmp_path, rows):
@@ -28,19 +31,17 @@ def _row(sid, date, values):
 def test_load_clouds_basic(tmp_path):
     path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [0.1] * 24),
                                   _row(2, "2022-03-15", [0.9] * 24)])
-    series = weather.load_clouds(path)
-    assert series.date == dt.date(2022, 3, 15)
-    assert series.hourly[1][0] == 0.1
-    assert series.hourly[2][23] == 0.9
+    hourly = weather.load_clouds(path, MARCH_15)
+    assert sorted(hourly) == [1, 2]
+    assert hourly[1][0] == 0.1
+    assert hourly[2][23] == 0.9
 
 
 def test_load_clouds_date_filter(tmp_path):
     path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [0.1] * 24),
                                   _row(1, "2022-06-15", [0.5] * 24)])
-    series = weather.load_clouds(path, date=dt.date(2022, 6, 15))
-    assert series.hourly[1][0] == 0.5
-    with pytest.raises(weather.WeatherError, match="multiple dates"):
-        weather.load_clouds(path)
+    hourly = weather.load_clouds(path, date=dt.date(2022, 6, 15))
+    assert hourly[1][0] == 0.5
     with pytest.raises(weather.WeatherError, match="no rows"):
         weather.load_clouds(path, date=dt.date(2022, 9, 15))
 
@@ -49,27 +50,40 @@ def test_load_clouds_validation(tmp_path):
     bad_cols = tmp_path / "bad.csv"
     bad_cols.write_text("station_id,date,h00\n1,2022-03-15,0.5\n")
     with pytest.raises(weather.WeatherError, match="columns"):
-        weather.load_clouds(bad_cols)
+        weather.load_clouds(bad_cols, MARCH_15)
 
     for bad in (1.5, "nan"):
         path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [bad] * 24)])
         with pytest.raises(weather.WeatherError, match=r"\[0, 1\]"):
-            weather.load_clouds(path)
+            weather.load_clouds(path, MARCH_15)
 
     path = _clouds_csv(tmp_path, [_row(1, "2022-03-15", [0.1] * 24),
                                   _row(1, "2022-03-15", [0.2] * 24)])
     with pytest.raises(weather.WeatherError, match="duplicate"):
-        weather.load_clouds(path)
+        weather.load_clouds(path, MARCH_15)
+
+
+def test_load_clouds_checks_rows_of_other_dates(tmp_path):
+    """Rows of a date the run does not read are checked, then ignored."""
+    good = _row(1, "2022-03-15", [0.1] * 24)
+    for other in ([_row(1, "2022-06-15", [1.5] * 24)],
+                  [_row(1, "2022-06-15", [0.1] * 24), _row(1, "2022-06-15", [0.2] * 24)]):
+        with pytest.raises(weather.WeatherError):
+            weather.load_clouds(_clouds_csv(tmp_path, [good] + other), MARCH_15)
+    hourly = weather.load_clouds(_clouds_csv(tmp_path, [good, _row(2, "2022-06-15", [0.5] * 24)]),
+                                 MARCH_15)
+    assert list(hourly) == [1]
 
 
 def test_cloud_matrix_piecewise_constant(tmp_path, toy_scenario):
     values = [round(h / 24.0, 3) for h in range(24)]
-    series = weather.load_clouds(_clouds_csv(tmp_path, [_row(1, "2022-03-15", values)]))
+    hourly = weather.load_clouds(_clouds_csv(tmp_path, [_row(1, "2022-03-15", values)]),
+                                 MARCH_15)
     station = toy_scenario.stations[0]
     # 600 s slots: six per hour, so slot 144 starts the next day
     scenario = replace(toy_scenario, stations=(station, replace(station, station_id=99)),
                        time=replace(toy_scenario.time, slot_duration_s=600.0, slot_count=145))
-    matrix = weather.cloud_matrix(series, scenario)
+    matrix = weather.cloud_matrix(hourly, scenario)
     assert matrix.shape == (2, 145)
     assert matrix[0, [0, 5, 6, 143]].tolist() == [values[0], values[0], values[1], values[23]]
     # wraps past the stored day
@@ -96,6 +110,16 @@ def test_apply_filter_returns_the_input_when_every_row_passes():
     table.cloud = np.array([0.8, 0.0, 0.2])
     assert weather.apply_filter(table, threshold=0.8) is table
     assert len(weather.apply_filter(table, threshold=0.7)) == 2
+
+
+def test_threshold_one_keeps_a_table_read_from_disk(tmp_path):
+    """Every input path holds cloud cover to [0, 1], so a threshold of 1
+    returns a table read from disk itself."""
+    table = make_table(4, 1, 2, [(0, 0, 0, 5.0), (1, 0, 1, 3.0), (2, 0, 0, 2.0)])
+    table.cloud = np.array([1.0, 0.0, 0.999])
+    write_estimates_csv(table, tmp_path / "t.csv")
+    read = read_estimates_csv(tmp_path / "t.csv")
+    assert len(read) == 3 and weather.apply_filter(read, 1.0) is read
 
 
 def test_kept_is_the_filter_rule():
