@@ -39,7 +39,8 @@ from .sched import Schedule
 @dataclass
 class MilpInstance:
     """Mixed-integer program: maximize c.x subject to A x <= b and bounds.
-    Only :func:`export_lp` reads the names; a program never exported has none."""
+    Only :func:`export_lp` reads the names. Baseline programs are always
+    named; Phase 2's programs, which are never exported, have none."""
 
     name: str
     objective: np.ndarray
@@ -69,9 +70,10 @@ def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResul
     """Solve the instance with HiGHS's branch-and-cut via scipy.optimize.milp.
 
     ``max_nodes`` caps the search (None runs to proof; zero or less returns
-    at once without solving). A spent budget yields ``budget_exceeded`` with
-    the incumbent, if any, and the absolute gap bound - objective; with no
-    incumbent the gap is infinite. Integer variables come back rounded.
+    at once without solving). A program without variables is optimal at
+    zero. A spent budget yields ``budget_exceeded`` with the incumbent, if
+    any, and the absolute gap bound - objective; with no incumbent the gap
+    is infinite. Integer variables come back rounded.
 
     HiGHS's Feasibility Jump primal heuristic is switched off: its fixed
     start-up cost is most of the time of a desk-scale solve. Optimal values
@@ -80,6 +82,8 @@ def branch_and_bound(instance: MilpInstance, max_nodes: int = None) -> MilpResul
     """
     if max_nodes is not None and max_nodes <= 0:
         return MilpResult(status="budget_exceeded", gap=np.inf)
+    if not instance.n_vars:  # scipy's milp refuses an empty program
+        return MilpResult(status="optimal", objective=0.0, gap=0.0, values=np.zeros(0))
     options = {"mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
     if max_nodes is not None:
         options["node_limit"] = int(max_nodes)
@@ -395,7 +399,7 @@ def _fmt(value: float) -> str:
 
 def export_lp(instance: MilpInstance, path) -> None:
     """Write the instance in CPLEX LP text format, deterministically."""
-    fallback = instance.var_names[0]
+    fallback = f"0 {instance.var_names[0]}" if instance.n_vars else "0"
     lines = [f"\\ {instance.name}", "Maximize"]
     terms = [(instance.var_names[j], instance.objective[j])
              for j in range(instance.n_vars) if instance.objective[j] != 0.0]
@@ -430,7 +434,7 @@ def export_lp(instance: MilpInstance, path) -> None:
 
 def _join_terms(terms, fallback: str) -> str:
     if not terms:
-        return f"0 {fallback}"
+        return fallback
     text = " ".join(("- " if coef < 0 else "+ ")
                     + (name if abs(coef) == 1.0 else f"{_fmt(abs(coef))} {name}")
                     for name, coef in terms)

@@ -366,9 +366,9 @@ def read_estimates_csv(path, *, report_columns: bool = True) -> EstimateTable:
     the last occupied slot and every link capacity is one. A wrong header,
     a row that does not parse as three integers and six floats, key bits
     that are not finite and non-negative, cloud cover outside [0, 1] and a
-    table without rows are errors. Every column is parsed and checked;
-    without ``report_columns`` the table keeps none of the
-    ``REPORT_COLUMNS``.
+    table with neither rows nor a metadata line are errors. Every column is
+    parsed and checked; without ``report_columns`` the table keeps none of
+    the ``REPORT_COLUMNS``.
     """
     with open(path) as fh:
         line = fh.readline()
@@ -381,10 +381,10 @@ def read_estimates_csv(path, *, report_columns: bool = True) -> EstimateTable:
                                 [name for name in _CSV_HEADER
                                  if report_columns or name not in _CSV_REPORT])
     slot = columns["slot"]
-    if not len(slot):
+    if not (meta or len(slot)):
         raise ValueError(f"{path}: empty estimate table")
-    n_slots = meta.get("n_slots", int(slot.max()) + 1)
-    if slot.min() < 0 or slot.max() >= n_slots:
+    n_slots = meta["n_slots"] if meta else int(slot.max()) + 1
+    if len(slot) and (slot.min() < 0 or slot.max() >= n_slots):
         raise ValueError(f"{path}: slots must lie in [0, {n_slots})")
     sat_ids, sat = _dense_ids(columns.pop("satellite_id"), meta.get("sat_ids"),
                               "satellite", path)

@@ -12,20 +12,19 @@ Artifacts are assembled in a staging directory and moved into place with a
 single rename, so an interrupted run never leaves a half-written output
 tree behind, and a run that fails removes its staging directory. Each
 base schedule (rr, greedy) is computed once per run and shared with the
-opportunistic scheduler that takes its rate floors from it. With more
-than one usable CPU, ``--dump-estimates`` writes ``estimates.csv`` from a
-child made with the ``fork`` start method, which inherits the table
-without pickling it, while the schedulers run; the run waits for it before
-the swap, and a failed or aborted run kills it. On one usable CPU, or
-where the platform has no ``fork``, the dump is written inline, where a
-child could not help. All writers are deterministic: repeating a run with
-the same inputs reproduces every artifact byte for byte.
+opportunistic scheduler that takes its rate floors from it. Wherever the
+platform has the ``fork`` start method, ``--dump-estimates`` writes
+``estimates.csv`` from a forked child, which inherits the table without
+pickling it, while the schedulers run; the run waits for it before the
+swap, and a failed or aborted run kills it. Elsewhere the dump is written
+inline after the schedulers. All writers are deterministic: repeating a
+run with the same inputs reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import shutil
 import sys
@@ -190,47 +189,40 @@ def _cmd_run(args) -> int:
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
-    dump = _Dump(table, staging / "estimates.csv") if args.dump_estimates else None
+    dump = (_dumped(table, staging / "estimates.csv") if args.dump_estimates
+            else contextlib.nullcontext())
     try:
-        if dump is not None:
-            dump.start()
-        pairs = station_pairs(table.n_stations)
-        reports, bases = [], {}
-        for name in names:
-            sub = staging / name
-            sub.mkdir()
-            _verbose(f"running scheduler {name}")
-            start = time.perf_counter()
-            schedule, allocation = _execute(name, table, pairs, args, sub, bases)
-            report = summarize(schedule, allocation, scheduler=name,
-                               station_ids=table.station_ids)
-            _verbose(f"  {name}: min {report['min_key']} / total {report['total_key']} "
-                     f"bits in {time.perf_counter() - start:.2f}s")
-            write_schedule_csv(sub / "schedule.csv", schedule, table)
-            write_pools_csv(sub / "pools.csv", schedule, table)
-            write_allocation_csv(sub / "allocation.csv", allocation, table)
-            write_report_json(sub / "report.json", report)
-            reports.append(report)
+        with dump:
+            pairs = station_pairs(table.n_stations)
+            reports, bases = [], {}
+            for name in names:
+                sub = staging / name
+                sub.mkdir()
+                _verbose(f"running scheduler {name}")
+                start = time.perf_counter()
+                schedule, allocation = _execute(name, table, pairs, args, sub, bases)
+                report = summarize(schedule, allocation, station_ids=table.station_ids)
+                _verbose(f"  {name}: min {report['min_key']} / total {report['total_key']} "
+                         f"bits in {time.perf_counter() - start:.2f}s")
+                write_schedule_csv(sub / "schedule.csv", schedule, table)
+                write_pools_csv(sub / "pools.csv", schedule, table)
+                write_allocation_csv(sub / "allocation.csv", allocation, table)
+                write_report_json(sub / "report.json", report)
+                reports.append(report)
 
-        write_comparison_csv(staging / "comparison.csv", reports)
-        write_histograms_csv(staging / "histograms.csv", choice_histograms(table))
-        with open(staging / "run_config.json", "w") as fh:
-            json.dump({
+            write_comparison_csv(staging / "comparison.csv", reports)
+            write_histograms_csv(staging / "histograms.csv", choice_histograms(table))
+            write_report_json(staging / "run_config.json", {
                 "source": args.scenario or args.table,
                 "clouds": args.clouds,
                 "filter_threshold": args.filter_threshold,
                 "schedulers": names,
                 "delta": args.delta, "max_passes": args.max_passes, "tol": args.tol,
                 "solver_nodes": args.solver_nodes, "seed": args.seed,
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if dump is not None:
-            dump.finish()
+            })
     except BaseException:
         # an aborted run leaves neither a running dump, a staging tree nor a
         # partial output
-        if dump is not None:
-            dump.abort()
         shutil.rmtree(staging, ignore_errors=True)
         raise
     # the staging tree is complete: if the swap fails, it stays in place
@@ -260,58 +252,41 @@ def _scenario_table(scenario_path, clouds_path, threshold, report_columns) -> Es
     return build_estimates(scenario, visibility, clouds, report_columns=report_columns)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+@contextlib.contextmanager
+def _dumped(table: EstimateTable, path: Path):
+    """Write the ``--dump-estimates`` file while the body runs. Where the
+    ``fork`` start method exists, a forked child writes it; a clean exit
+    waits for the child and raises its exception, and an exception from the
+    body kills and reaps it. Elsewhere the file is written after the body."""
+    # imported on first use, so that it stays out of the command's start-up
+    import multiprocessing
 
-
-class _Dump:
-    """The ``--dump-estimates`` writer. Where a fork context is available,
-    ``start`` forks a child that writes while the parent schedules, and
-    ``finish`` waits for it and raises the child's exception; otherwise
-    ``finish`` writes the file itself."""
-
-    def __init__(self, table: EstimateTable, path: Path):
-        self._table, self._path, self._proc = table, path, None
-
-    def start(self) -> None:
-        if usable_cpus() < 2:
-            return
-        # imported on first use, so that it stays out of the command's start-up
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return
-        ctx = multiprocessing.get_context("fork")
-        self._result, send = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(target=_dump_child, daemon=True,
-                                 args=(self._table, self._path, send))
-        self._proc.start()
-        send.close()
-
-    def finish(self) -> None:
-        if self._proc is None:
-            write_estimates_csv(self._table, self._path)
-            return
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield
+        write_estimates_csv(table, path)
+        return
+    ctx = multiprocessing.get_context("fork")
+    result, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_dump_child, args=(table, path, send), daemon=True)
+    proc.start()
+    send.close()
+    with result:
         try:
-            error = self._result.recv()
+            yield
+        except BaseException:
+            proc.kill()
+            proc.join()
+            raise
+        try:
+            error = result.recv()
         except EOFError:
             # the child died before it could report
-            self._proc.join()
+            proc.join()
             error = CliError("cli", f"estimate dump process exited with "
-                                    f"code {self._proc.exitcode}")
-        self._proc.join()
-        self._result.close()
-        if error is not None:
-            raise error
-
-    def abort(self) -> None:
-        if self._proc is not None and self._proc.pid is not None:
-            self._proc.kill()
-            self._proc.join()
-            self._result.close()
+                                    f"code {proc.exitcode}")
+        proc.join()
+    if error is not None:
+        raise error
 
 
 def _dump_child(table, path, send) -> None:

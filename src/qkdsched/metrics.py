@@ -17,8 +17,7 @@ import numpy as np
 from .alloc import joint_capacity
 
 
-def summarize(schedule, allocation, scheduler: str = None,
-              station_ids=None) -> dict:
+def summarize(schedule, allocation, station_ids=None) -> dict:
     """The ``report.json`` object of a schedule and its pairwise allocation,
     pairs labelled ``"a-b"`` by station id, or by index when none are given.
 
@@ -38,7 +37,7 @@ def summarize(schedule, allocation, scheduler: str = None,
     totals = allocation.totals.tolist()
     return {
         "schema_version": 1,
-        "scheduler": scheduler or schedule.metadata.get("scheduler", "unknown"),
+        "scheduler": schedule.metadata["scheduler"],
         "dimensions": {"slots": schedule.n_slots, "satellites": schedule.n_sats,
                        "stations": schedule.n_stations},
         "served": len(schedule.slot),

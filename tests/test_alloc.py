@@ -682,6 +682,24 @@ def test_lp_export_without_constraints_is_still_valid(tmp_path):
     assert solved.objective == pytest.approx(6.0)
 
 
+def test_program_without_variables_solves_and_exports(tmp_path):
+    # a table the cloud filter empties leaves maxsum without a variable
+    table = make_table(4, 2, 3, [])
+    instance = build_baseline_instance(table, "maxsum")
+    assert instance.n_vars == 0
+    result = branch_and_bound(instance)
+    assert (result.status, result.objective, result.gap) == ("optimal", 0.0, 0.0)
+    path = tmp_path / "empty.lp"
+    export_lp(instance, path)
+    parsed = _instance_from_parse(_parse_lp(path.read_text()), name="empty")
+    assert parsed.n_vars == 0
+    assert parsed.a_ub.shape == (0, 0)
+    assert branch_and_bound(parsed).status == "optimal"
+    baseline = solve_baseline(table, "maxsum", export_path=path)
+    assert baseline.milp.status == "optimal"
+    assert baseline.allocation.totals.tolist() == [0, 0, 0]
+
+
 def test_small_knapsack_sanity():
     # maximize x0 + x1 + x2 with 3 x0 + 3 x1 + 3 x2 <= 7: LP says 7/3,
     # integers say 2; exercises the solver's integrality handling directly

@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import re
+import select
 import subprocess
 import sys
 import time
@@ -368,10 +369,11 @@ def test_existing_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
             f"error: cli: output directory '{out}' exists (use --force)\n")
 
 
-@pytest.fixture
-def forked_dump(monkeypatch):
-    """Write the estimate dump from a forked child, as on a multi-core host."""
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+def _without_fork(monkeypatch):
+    """Write the estimate dump inline, as on a platform without ``fork``."""
+    real = multiprocessing.get_all_start_methods
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: [m for m in real() if m != "fork"])
 
 
 def _dump_argv(tmp_path, out):
@@ -381,17 +383,49 @@ def _dump_argv(tmp_path, out):
 
 def test_background_dump_matches_inline(tmp_path, monkeypatch):
     trees = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-        out = tmp_path / f"out{cpus}"
-        assert main(_dump_argv(tmp_path, out)) == 0
+    for fork in (False, True):
+        with monkeypatch.context() as patch:
+            if not fork:
+                _without_fork(patch)
+            out = tmp_path / f"out{fork}"
+            assert main(_dump_argv(tmp_path, out)) == 0
         trees.append(_tree(out))
     assert "estimates.csv" in trees[0]
     assert trees[0] == trees[1]
     assert multiprocessing.active_children() == []
 
 
-def test_scheduler_error_stops_background_dump(tmp_path, monkeypatch, forked_dump):
+def test_dump_forks_on_one_cpu(tmp_path, monkeypatch):
+    # the child writes the dump while the schedulers run, however few CPUs
+    # the run may use
+    argv = _dump_argv(tmp_path, tmp_path / "out")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    gate_r, gate_w = os.pipe()
+    write, run_rr, children = cli.write_estimates_csv, cli.run_rr, []
+
+    def gated_write(*args, **kwargs):
+        # a forked writer lives until run_rr has looked, for 30 s at most
+        select.select([gate_r], [], [], 30)
+        write(*args, **kwargs)
+
+    def counting_rr(*args, **kwargs):
+        children.append(len(multiprocessing.active_children()))
+        os.write(gate_w, b"x")
+        return run_rr(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_estimates_csv", gated_write)
+    monkeypatch.setattr(cli, "run_rr", counting_rr)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert children == [1]
+    assert (tmp_path / "out" / "estimates.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_scheduler_error_stops_background_dump(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("solver broke")
 
@@ -403,8 +437,8 @@ def test_scheduler_error_stops_background_dump(tmp_path, monkeypatch, forked_dum
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, cpus):
+@pytest.mark.parametrize("fork", [False, True], ids=["inline", "fork"])
+def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, fork):
     # the child's exception reaches the parent, which reports it as the
     # inline writer's would be
     def full(table, path, *args, **kwargs):
@@ -412,7 +446,8 @@ def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, cpus):
 
     out = tmp_path / "out"
     argv = _dump_argv(tmp_path, out)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    if not fork:
+        _without_fork(monkeypatch)
     monkeypatch.setattr(cli, "write_estimates_csv", full)
     assert main(argv) == 2
     dump = tmp_path / "out.staging" / "estimates.csv"
@@ -423,7 +458,7 @@ def test_failed_dump_is_an_io_error(tmp_path, monkeypatch, capsys, cpus):
     assert multiprocessing.active_children() == []
 
 
-def test_dump_child_that_dies_is_reported(tmp_path, monkeypatch, capsys, forked_dump):
+def test_dump_child_that_dies_is_reported(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     argv = _dump_argv(tmp_path, out)
     monkeypatch.setattr(cli, "write_estimates_csv", lambda *a, **k: os._exit(3))
@@ -434,7 +469,7 @@ def test_dump_child_that_dies_is_reported(tmp_path, monkeypatch, capsys, forked_
     assert not (tmp_path / "out.staging").exists()
 
 
-def test_abort_kills_background_dump(tmp_path, monkeypatch, forked_dump):
+def test_abort_kills_background_dump(tmp_path, monkeypatch):
     # a BaseException (a budget alarm, Ctrl-C) still kills and reaps the
     # child before the staging tree goes
     class Abort(BaseException):
@@ -754,14 +789,12 @@ def test_run_rejects_non_finite_key_bits(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_readme_dump_replays_to_the_same_artifacts(tmp_path):
-    # a --table replay of the README toy command's dump sees the scenario's
-    # slot count, ids and capacities, so every other artifact repeats
-    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
-    args = ["--schedulers", "rr,greedy,op-rr,maxsum", "--export-lp"]
+def _replay_dump(tmp_path, clouds, args):
+    """Run the toy scenario with a dump, replay the dump with ``args``, and
+    check that every artifact but the dump and ``run_config.json`` repeats."""
     first, replay = tmp_path / "first", tmp_path / "replay"
-    assert main(["run", "--scenario", str(scenarios / "toy_equator.ini"),
-                 "--clouds", str(scenarios / "clouds_sample.csv"), *args,
+    assert main(["run", "--scenario", str(SCENARIOS / "toy_equator.ini"),
+                 "--clouds", str(clouds), *args,
                  "--dump-estimates", "--out", str(first)]) == 0
     assert main(["run", "--table", str(first / "estimates.csv"), *args,
                  "--out", str(replay)]) == 0
@@ -771,8 +804,33 @@ def test_readme_dump_replays_to_the_same_artifacts(tmp_path):
         got.pop(name, None)
     assert sorted(got) == sorted(want)
     assert [n for n in want if got[n] != want[n]] == []
+    return first, replay
+
+
+def test_readme_dump_replays_to_the_same_artifacts(tmp_path):
+    # a --table replay of the README toy command's dump sees the scenario's
+    # slot count, ids and capacities, so every other artifact repeats
+    _, replay = _replay_dump(tmp_path, SCENARIOS / "clouds_sample.csv",
+                             ["--schedulers", "rr,greedy,op-rr,maxsum", "--export-lp"])
     report = json.loads((replay / "rr" / "report.json").read_text())
     assert report["dimensions"] == {"satellites": 2, "slots": 600, "stations": 3}
+
+
+@pytest.mark.parametrize("export", [[], ["--export-lp"]], ids=["solve", "export-lp"])
+def test_empty_dump_replays_to_the_same_artifacts(tmp_path, export):
+    # a filter that keeps no row dumps only the metadata line and the
+    # header; every scheduler runs on the empty table, and a replay of the
+    # dump repeats its artifacts
+    clouds = tmp_path / "clouds.csv"
+    half = ",".join("0.5" for _ in range(24))
+    clouds.write_text("station_id,date," + ",".join(f"h{h:02d}" for h in range(24)) + "\n"
+                      + "".join(f"{g},2022-03-15,{half}\n" for g in (1, 2, 3)))
+    first, replay = _replay_dump(tmp_path, clouds, [
+        "--schedulers", ",".join(cli.SCHEDULERS), "--filter-threshold", "0.1", *export])
+    assert len(read_estimates_csv(first / "estimates.csv")) == 0
+    report = json.loads((replay / "maxsum" / "report.json").read_text())
+    assert report["dimensions"] == {"satellites": 2, "slots": 600, "stations": 3}
+    assert report["served"] == report["total_key"] == 0
 
 
 def test_table_replay_rewrites_the_dump_byte_for_byte(tmp_path):

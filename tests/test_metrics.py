@@ -92,9 +92,8 @@ def test_report_json_deterministic(tmp_path):
 
 def test_comparison_csv_rows(tmp_path):
     pool = np.array([[5, 3, 0]])
-    schedule = _schedule(pool)
     alloc = iterate_phase2(pool, station_pairs(3))
-    reports = [summarize(schedule, alloc, scheduler=name)
+    reports = [summarize(_schedule(pool, metadata={"scheduler": name}), alloc)
                for name in ("rr", "greedy")]
     path = tmp_path / "comparison.csv"
     write_comparison_csv(path, reports)
