@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .channel import EstimateTable
-from .sched import Schedule
+from .sched import Schedule, check_key_bits
 
 
 @dataclass
@@ -272,8 +272,10 @@ def build_baseline_instance(estimates: EstimateTable, objective: str = "maxmin",
     order, then y as ``_pair_vars`` lists them, then z. Rows are the
     transmitter rows by (slot, sat), the receiver rows by (slot, station),
     the pool rows by (sat, station), then, for "maxmin", one floor row per
-    pair.
+    pair. Raises ValueError for a non-finite or negative key bit, as every
+    scheduler does.
     """
+    check_key_bits(estimates)
     if objective not in ("maxmin", "maxsum"):
         raise ValueError("objective must be 'maxmin' or 'maxsum'")
     if pairs is None:

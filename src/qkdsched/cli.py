@@ -110,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write baseline models as LP files")
     run_p.add_argument("--dump-estimates", action="store_true",
                        help="write the scheduled estimate table as CSV")
-    run_p.add_argument("--seed", type=int, default=0,
-                       help="recorded for synthetic-data provenance; the "
-                            "pipeline itself is deterministic")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--force", action="store_true",
                        help="replace the output directory if it exists")
@@ -218,7 +215,7 @@ def _cmd_run(args) -> int:
                 "filter_threshold": args.filter_threshold,
                 "schedulers": names,
                 "delta": args.delta, "max_passes": args.max_passes, "tol": args.tol,
-                "solver_nodes": args.solver_nodes, "seed": args.seed,
+                "solver_nodes": args.solver_nodes,
             })
     except BaseException:
         # an aborted run leaves neither a running dump, a staging tree nor a
@@ -307,25 +304,16 @@ def _execute(name, table, pairs, args, sub, bases):
                                 max_nodes=args.solver_nodes, export_path=export)
         return result.schedule, result.allocation
 
-    if name in ("rr", "greedy"):
-        schedule = _base_schedule(name, table, bases)
-    else:
-        base_name = name.split("-", 1)[1]
-        targets = derive_min_rates(_base_schedule(base_name, table, bases), table)
-        schedule = run_opportunistic(table, targets, delta=args.delta,
-                                     max_passes=args.max_passes, tol=args.tol)
-        schedule.metadata["scheduler"] = name
-        schedule.metadata["targets_from"] = base_name
-    allocation = iterate_phase2(schedule.key_pool, pairs)
-    return schedule, allocation
-
-
-def _base_schedule(name, table, bases):
-    """The rr or greedy schedule, computed once per run and shared with the
-    opportunistic scheduler that takes its targets from it."""
-    if name not in bases:
-        bases[name] = run_rr(table) if name == "rr" else run_greedy(table)
-    return bases[name]
+    base = name.removeprefix("op-")
+    if base not in bases:
+        bases[base] = run_rr(table) if base == "rr" else run_greedy(table)
+    schedule = bases[base]
+    if name != base:
+        schedule = run_opportunistic(table, derive_min_rates(schedule, table),
+                                     delta=args.delta, max_passes=args.max_passes,
+                                     tol=args.tol)
+        schedule.metadata.update(scheduler=name, targets_from=base)
+    return schedule, iterate_phase2(schedule.key_pool, pairs)
 
 
 # ------------------------------------------------------------------- synth

@@ -14,18 +14,18 @@ into served triples and key pools.
 Round-robin and the opportunistic scheduler run one pass engine
 (:class:`_Passes`) and supply only the function that writes a slot's
 costs from its links' service counters or multipliers. What does not
-depend on the costs is planned once per table (:func:`slot_plan`): each
-slot's capacity-copy matrix, cut down to the rows kept where Hall's
-condition fails and the columns they reach. A pass is one loop over
-windows of slots: it gathers each slot's cost matrix from its costs,
-serves the slot by the matrix's raw optimal map (:func:`optimal_map`,
-one LSAP call) and groups the matrix and map by shape; at the window's
-end one :func:`certify` call per shape checks the tie rule, and the
-first slot whose map fails is solved with :func:`solve_assignment`, so
-the decisions are those of solving every slot with
-:func:`solve_assignment`. Round-robin's
-integer counters tie often: 275 of the 1800 slots of the seed-1
-benchmark slice of ``global_a500`` fail the certificate. Known
+depend on the costs is planned once per table (:func:`slot_plan`): a
+list of each slot's capacity-copy matrix of table rows, -1 where no link
+exists, cut down to the rows kept where Hall's condition fails and the
+columns they reach. A pass is one loop over windows of slots: it gathers
+each slot's cost matrix from its costs with one ``take``, serves the
+slot by the matrix's raw optimal map (:func:`optimal_map`, one LSAP
+call) and groups the matrix and map by shape; at the window's end one
+:func:`certify` call per shape checks the tie rule, and the first slot
+whose map fails is solved with :func:`solve_assignment`, so the
+decisions are those of solving every slot with :func:`solve_assignment`.
+Round-robin's integer counters tie often: 275 of the 1800 slots of the
+seed-1 benchmark slice of ``global_a500`` fail the certificate. Known
 limitation: in a slot that violates Hall's condition, the plan keeps
 whichever rows one maximum matching of all slots covers, whatever their
 costs.
@@ -91,33 +91,22 @@ def _links(estimates: EstimateTable) -> np.ndarray:
     return estimates.sat * estimates.n_stations + estimates.station
 
 
-def _check_key_bits(estimates: EstimateTable) -> None:
-    """Raise ValueError unless every key bit is finite and non-negative:
-    pools are floored into int64, and greedy orders claimants by pool."""
-    bits = estimates.key_bits
-    if not np.all((bits >= 0) & (bits < np.inf)):
-        raise ValueError("non-finite or negative key bits in the estimate table")
-
-
 @dataclass
 class SlotPlan:
-    """Weight-independent structure of every occupied slot, as flat arrays.
+    """Weight-independent structure of every occupied slot.
 
     Slot p spans table rows ``[lo[p], hi[p])``. Its assignment matrix has a
     row per station capacity copy and a column per satellite copy, or the
     transpose when satellites have strictly fewer copies. The plan keeps
     all rows or, where Hall's condition fails, the rows of one maximum
-    matching, and the columns those rows reach. The kept matrix, of shape
-    ``(rows[p], cols[p])``, starts at ``off[p]`` in ``kept`` and holds
-    slot-local table rows, with ``hi[p] - lo[p]`` where no link exists.
+    matching, and the columns those rows reach. ``kept[p]`` is that kept
+    matrix, an int32 view into one buffer shared by all slots, holding
+    slot-local table rows and -1 where no link exists.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    off: np.ndarray
-    kept: np.ndarray
+    kept: list
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -206,11 +195,12 @@ def _build_plan(estimates: EstimateTable) -> SlotPlan:
     rows = np.bincount(row_slot[kept], minlength=n_slots)
     cols = np.bincount(col_slot[used], minlength=n_slots)
     off = _exclusive_cumsum(rows * cols)
-    matrix = np.repeat(hi - lo, rows * cols).astype(np.int32)
+    matrix = np.full(int(off[-1]), -1, dtype=np.int32)
     cell_slot = row_slot[r]
     matrix[off[cell_slot] + _ranks(row_slot, kept)[r] * cols[cell_slot]
            + _ranks(col_slot, used)[c]] = row - lo[cell_slot]
-    return SlotPlan(lo, hi, rows, cols, off, matrix)
+    return SlotPlan(lo, hi, [matrix[at:at + a * b].reshape(a, b) for at, a, b in
+                             zip(off.tolist(), rows.tolist(), cols.tolist())])
 
 
 def run_rr(estimates: EstimateTable) -> Schedule:
@@ -222,7 +212,7 @@ def run_rr(estimates: EstimateTable) -> Schedule:
     rotates service across links regardless of their quality, and counts
     each service of a link in a slot of several rows.
     """
-    _check_key_bits(estimates)
+    check_key_bits(estimates)
     link = _links(estimates)
     plan = slot_plan(estimates)
     single = plan.lo[plan.hi - plan.lo == 1]
@@ -255,7 +245,7 @@ def run_greedy(estimates: EstimateTable) -> Schedule:
     order one whole-table sort would, since slots lead it, but each sort
     stays in cache; on a full global day that is four times faster.
     """
-    _check_key_bits(estimates)
+    check_key_bits(estimates)
     bits = estimates.key_bits
     link = _links(estimates)
     lo, hi = estimates.slot_spans()
@@ -335,6 +325,14 @@ def derive_min_rates(schedule: Schedule, estimates: EstimateTable) -> np.ndarray
                      where=tau > 0) / estimates.normalizer
 
 
+def check_key_bits(estimates: EstimateTable) -> None:
+    """Raise ValueError unless every key bit is finite and non-negative:
+    pools are floored into int64, and greedy orders claimants by pool."""
+    bits = estimates.key_bits
+    if not np.all((bits >= 0) & (bits < np.inf)):
+        raise ValueError("non-finite or negative key bits in the estimate table")
+
+
 def check_opportunistic(delta: float, max_passes: int, tol: float) -> None:
     """Raise ValueError for settings :func:`run_opportunistic` refuses."""
     if not 0.0 < delta < np.inf:
@@ -362,7 +360,7 @@ def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
     :func:`solve_assignment` (:class:`_Passes`).
     """
     check_opportunistic(delta, max_passes, tol)
-    _check_key_bits(estimates)
+    check_key_bits(estimates)
     link = _links(estimates)
     bits, norm = estimates.key_bits, estimates.normalizer
 
@@ -397,8 +395,7 @@ def run_opportunistic(estimates: EstimateTable, targets: np.ndarray,
     })
 
 
-# most slots whose maps a pass certifies together; windows never cross a
-# multiple of it, so it bounds the matrices a pass holds
+# most slots a pass certifies together; it bounds the matrices a pass holds
 _WINDOW = 1024
 
 
@@ -424,12 +421,10 @@ class _Passes:
                  served_step: np.ndarray, unserved_step: np.ndarray, cost):
         self.link, self.lam, self.cost = link, lam, cost
         self.served_step, self.unserved_step = served_step, unserved_step
-        self.lo, self.hi = plan.lo.tolist(), plan.hi.tolist()
-        self.kept = [plan.kept[at:at + a * b].reshape(a, b) for at, a, b in
-                     zip(plan.off.tolist(), plan.rows.tolist(), plan.cols.tolist())]
-        # one slot's costs, then inf for the plan's missing links
-        self.cost_of = np.empty(int((plan.hi - plan.lo).max(initial=0)) + 1)
-        self.rank = np.arange(int(plan.rows.max(initial=0)))
+        self.lo, self.hi, self.kept = plan.lo.tolist(), plan.hi.tolist(), plan.kept
+        # one slot's costs; the plan's -1 cells read the never-written inf
+        self.cost_of = np.full(int((plan.hi - plan.lo).max(initial=0)) + 1, np.inf)
+        self.rank = np.arange(max(map(len, plan.kept), default=0))
 
     def run(self) -> np.ndarray:
         """One pass over every slot; returns the served-row mask.
@@ -442,7 +437,7 @@ class _Passes:
         served = np.zeros(len(self.link), dtype=bool)
         n, start, length = len(self.lo), 0, _WINDOW
         while start < n:
-            end = min(start + length, start - start % _WINDOW + _WINDOW, n)
+            end = min(start + length, n)
             lam_start = self.lam.copy()
             picked, shapes = [], {}
             for p in range(start, end):
@@ -484,10 +479,9 @@ class _Passes:
     def _matrix(self, p) -> np.ndarray:
         """Slot ``p``'s kept cost matrix under the current states: its
         rows' costs, and ``inf`` exactly where the plan has no link."""
-        a, b, cost_of = self.lo[p], self.hi[p], self.cost_of
-        self.cost(self.lam[self.link[a:b]], a, b, cost_of[:b - a])
-        cost_of[b - a] = np.inf
-        return cost_of.take(self.kept[p], mode="clip")
+        a, b = self.lo[p], self.hi[p]
+        self.cost(self.lam[self.link[a:b]], a, b, self.cost_of[:b - a])
+        return self.cost_of.take(self.kept[p])
 
     def _step(self, p, match, served) -> None:
         """Serve the table rows that ``match``, a map of slot ``p``'s kept

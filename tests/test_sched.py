@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qkdsched import sched
-from qkdsched.alloc import iterate_phase2, station_pairs
+from qkdsched.alloc import iterate_phase2, solve_baseline, station_pairs
 from qkdsched.channel import build_estimates
 from qkdsched.orbit import build_visibility
 from qkdsched.scenario import load_scenario
@@ -133,7 +133,9 @@ def test_greedy_rejects_non_finite_key_bits(bad):
     table.key_bits[1] = bad
     targets = np.zeros((table.n_sats, table.n_stations))
     for run in (sched.run_greedy, sched.run_rr,
-                lambda t: sched.run_opportunistic(t, targets)):
+                lambda t: sched.run_opportunistic(t, targets),
+                lambda t: solve_baseline(t, "maxmin"),
+                lambda t: solve_baseline(t, "maxsum")):
         with pytest.raises(ValueError, match="non-finite or negative key bits"):
             run(table)
 
@@ -267,7 +269,7 @@ def _hall_short_slots(table) -> int:
     copies: stations' copies, or satellites' where they are strictly fewer."""
     plan = sched.slot_plan(table)
     short = 0
-    for a, b, kept in zip(plan.lo.tolist(), plan.hi.tolist(), plan.rows.tolist()):
+    for a, b, kept in zip(plan.lo.tolist(), plan.hi.tolist(), map(len, plan.kept)):
         sats = int(table.transmitters[np.unique(table.sat[a:b])].sum())
         stations = int(table.receivers[np.unique(table.station[a:b])].sum())
         short += kept < min(sats, stations)
@@ -305,6 +307,40 @@ def test_kept_rows_match_each_slots_own_matching(rng):
             assert np.array_equal(kept[row_base[p]:row_base[p + 1]], want), (trial, p)
         short += _hall_short_slots(table)
     assert short and three
+
+
+def test_plan_holds_each_slots_kept_matrix_of_slot_local_rows(rng):
+    """Each slot's kept matrix is an int32 view into one shared buffer of
+    slot-local table rows, -1 where no link exists; every kept row and
+    column holds a link, and where the plan keeps all copies of the smaller
+    side, each row appears once per (satellite copy, station copy)."""
+    short = whole = 0
+    for trial in range(60):
+        n_sats, n_stations = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        density = float(rng.uniform(0.1, 0.5))
+        rows = [(t, s, g, 1.0) for t in range(15) for s in range(n_sats)
+                for g in range(n_stations) if rng.random() < density]
+        table = make_table(15, n_sats, n_stations, rows or [(0, 0, 0, 1.0)],
+                           transmitters=rng.integers(1, 4, n_sats),
+                           receivers=rng.integers(1, 4, n_stations))
+        plan = sched.slot_plan(table)
+        assert len(plan.kept) == len(plan.lo) == len(plan.hi)
+        for p, (a, b) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
+            kept = plan.kept[p]
+            assert kept.dtype == np.int32 and kept.ndim == 2
+            assert kept.base is plan.kept[0].base
+            assert kept.min() >= -1 and kept.max() < b - a
+            link = kept >= 0
+            assert link.any(axis=1).all() and link.any(axis=0).all(), (trial, p)
+            sats = int(table.transmitters[np.unique(table.sat[a:b])].sum())
+            stations = int(table.receivers[np.unique(table.station[a:b])].sum())
+            if len(kept) < min(sats, stations):
+                short += 1
+                continue
+            whole += 1
+            copies = table.transmitters[table.sat[a:b]] * table.receivers[table.station[a:b]]
+            assert np.array_equal(np.bincount(kept[link], minlength=b - a), copies), (trial, p)
+    assert short and whole
 
 
 def test_receiver_capacity_two_links_same_slot():
